@@ -167,6 +167,9 @@ Outcome run(Arm arm, double rate_per_60, double run_length,
   // timestamp is idempotent.
   std::map<SessionCoordinator*, std::unique_ptr<adapt::AdaptationEngine>>
       engines;
+  // Watchdog passes tick the engines in (service, domain) order; walking
+  // the pointer-keyed map would tie the order to the heap layout.
+  std::vector<adapt::AdaptationEngine*> tick_order;
   if (arm != Arm::kPlain) {
     adapt::EngineConfig engine_config;
     engine_config.allow_preemption = arm == Arm::kAdaptivePriorities;
@@ -202,6 +205,7 @@ Outcome run(Arm arm, double rate_per_60, double run_length,
         };
         if (arm == Arm::kAdaptivePriorities)
           coordinator.set_admission_governor(&governor);
+        tick_order.push_back(engine.get());
         engines.emplace(&coordinator, std::move(engine));
       }
   }
@@ -256,7 +260,7 @@ Outcome run(Arm arm, double rate_per_60, double run_length,
 
   const double watchdog_period = scenario.config().alpha_window;
   std::function<void()> watchdog = [&] {
-    for (auto& [coordinator, engine] : engines)
+    for (adapt::AdaptationEngine* engine : tick_order)
       engine->tick(queue.now(), watchdog_rng);
     if (queue.now() + watchdog_period <= run_length)
       queue.schedule_in(watchdog_period, watchdog);

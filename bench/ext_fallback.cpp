@@ -3,8 +3,9 @@
 // §5.2.4 shows that inaccurate availability observations cost success
 // rate: the Psi-minimal plan is computed against an outdated snapshot and
 // its reservation can be rejected even though *other* feasible plans for
-// the same session would have succeeded. establish_resilient() falls back
-// down the enumerate_plans() list instead of failing the session.
+// the same session would have succeeded. establish() with
+// EstablishPolicy::fallback_attempts > 1 falls back down the
+// enumerate_plans() list instead of failing the session.
 //
 // This harness sweeps the staleness bound E and the attempt budget,
 // showing how much of the staleness-induced loss the fallback recovers.
@@ -20,6 +21,27 @@ using namespace qres::bench;
 
 namespace {
 
+/// The basic algorithm's choice with ties between equally cheap plans
+/// broken in enumerate_plans order, the order fallback walks: attempts=1
+/// is exactly the head of every fallback list.
+class EnumeratedPlanner final : public IPlanner {
+ public:
+  PlanResult plan(const Qrg& qrg, Rng& /*rng*/) const override {
+    PlanResult result;
+    result.sinks = sink_infos(qrg, relax_qrg(qrg));
+    for (std::size_t rank = 0; rank < result.sinks.size(); ++rank) {
+      if (!result.sinks[rank].reachable) continue;
+      std::vector<ReservationPlan> plans =
+          enumerate_plans(qrg, qrg.ranked_sink_nodes()[rank], 1);
+      if (plans.empty()) continue;
+      result.plan = std::move(plans.front());
+      break;
+    }
+    return result;
+  }
+  std::string name() const override { return "basic-enumerated"; }
+};
+
 SimulationStats run_resilient(double rate_per_60, double staleness,
                               std::size_t attempts, double run_length,
                               std::uint64_t seed) {
@@ -28,8 +50,10 @@ SimulationStats run_resilient(double rate_per_60, double staleness,
   PaperScenario scenario(scenario_config);
   const SessionSource source = scenario.make_source();
 
-  // A bespoke planner adapter is not enough here (fallback needs broker
-  // access), so run the loop directly.
+  // Simulation has no establish policy knob, so run the loop directly.
+  const EnumeratedPlanner planner;
+  EstablishPolicy policy;
+  policy.fallback_attempts = attempts;
   SimulationStats stats;
   EventQueue queue;
   Rng rng(seed ^ 0x7e51171e47ULL);
@@ -44,8 +68,8 @@ SimulationStats run_resilient(double rate_per_60, double staleness,
       lag = [&rng, staleness](ResourceId) {
         return rng.uniform(0.0, staleness);
       };
-    EstablishResult result = spec.coordinator->establish_resilient(
-        session, now, attempts, rng, spec.traits.scale, lag);
+    EstablishResult result = spec.coordinator->establish(
+        session, now, planner, rng, spec.traits.scale, lag, policy);
     const std::size_t levels =
         spec.coordinator->service().end_to_end_ranking().size();
     stats.record_session(

@@ -1,20 +1,24 @@
 // Extension experiment: session availability under control-plane faults.
 //
-// The paper's protocols assume a perfect control plane; this harness
+// The paper's protocols assume a lossless control plane; this harness
 // injects RPC loss and scripted host crashes (signal/fault_plane) into the
 // centralized establishment path and measures what the robustness layer
 // buys. Two configurations run over identical fault schedules:
 //
 //   * no-heal — plain establish(): an unreachable proxy fails the session;
-//   * heal    — establish_with_recovery() + leased reservations renewed by
-//               a LeaseKeeper: dispatch failures re-plan around the dead
-//               host (each component has a degraded fallback level on a
-//               different host), and holdings of crashed owners expire
-//               instead of leaking.
+//   * heal    — establish() with EstablishPolicy::max_replans = 2 plus
+//               leased reservations renewed by a LeaseKeeper: dispatch
+//               failures re-plan around the dead host (each component has
+//               a degraded fallback level on a different host), and
+//               holdings of crashed owners expire instead of leaking.
+//
+// Every poll, dispatch, rollback and teardown is a typed RPC through a
+// BrokerService across the fault plane, so rollback and teardown
+// releases can both be lost.
 //
 // Every run is audited: a ReservationAuditor mirrors each reserve/release
 // and the final column proves conservation — after all sessions end and
-// leases expire, not one unit of capacity is leaked, lost rollbacks
+// leases expire, not one unit of capacity is leaked, lost releases
 // included. Availability = established / attempted, swept over the fault
 // rate (drop probability; crash windows scale with it).
 #include <cstdlib>
@@ -28,6 +32,7 @@
 #include "broker/registry.hpp"
 #include "core/planner.hpp"
 #include "proxy/qos_proxy.hpp"
+#include "rpc/broker_service.hpp"
 #include "broker/auditor.hpp"
 #include "core/event_queue.hpp"
 #include "signal/fault_plane.hpp"
@@ -103,7 +108,7 @@ struct Outcome {
   std::uint64_t established = 0;
   std::uint64_t replans = 0;
   std::uint64_t leases_expired = 0;
-  std::uint64_t leaked_rollbacks = 0;
+  std::uint64_t leaked_rollbacks = 0;  ///< lost rollback/teardown releases
   std::uint64_t audit_violations = 0;
   double stranded = 0.0;  // capacity still held after everything ended
 
@@ -143,7 +148,8 @@ Outcome run(double drop_prob, int crashes, bool heal, double run_length,
   ReservationAuditor auditor(&world.registry);
   SessionCoordinator coordinator(world.service.get(), world.resources,
                                  &world.registry);
-  coordinator.attach_faults(&plane, world.main_host);
+  rpc::BrokerService service(&world.registry);
+  coordinator.attach_rpc_service(&service, world.main_host, &plane);
   if (heal) coordinator.enable_leases(lease_config.lease);
   BasicPlanner planner;
   Rng planner_rng(rng());
@@ -178,18 +184,29 @@ Outcome run(double drop_prob, int crashes, bool heal, double run_length,
     }
   };
 
+  // A lost teardown release leaves the holding on its broker (until its
+  // lease expires, in the healed arm), so the model keeps it too.
+  const auto teardown = [&](SessionId session, const auto& holdings) {
+    keeper.forget(session);
+    const auto undelivered =
+        coordinator.teardown(holdings, session, queue.now());
+    outcome.leaked_rollbacks += undelivered.size();
+    for (const auto& [id, amount] : holdings)
+      auditor.on_released(session, id, amount);
+    for (const auto& [id, amount] : undelivered)
+      auditor.on_reserved(session, id, amount);
+  };
+
+  EstablishPolicy policy;
+  if (heal) policy.max_replans = 2;
   std::uint32_t next_session = 1;
   std::function<void()> arrival = [&] {
     const double now = queue.now();
     const SessionId session{next_session++};
     const double scale = rng.uniform(0.8, 1.3);
     const double duration = rng.uniform(8.0, 30.0);
-    const EstablishResult r =
-        heal ? coordinator.establish_with_recovery(session, now, planner,
-                                                   planner_rng, scale,
-                                                   /*max_replans=*/2)
-             : coordinator.establish(session, now, planner, planner_rng,
-                                     scale);
+    const EstablishResult r = coordinator.establish(
+        session, now, planner, planner_rng, scale, nullptr, policy);
     ++outcome.sessions;
     outcome.replans += r.stats.replans;
     outcome.leaked_rollbacks += r.leaked.size();
@@ -209,10 +226,7 @@ Outcome run(double drop_prob, int crashes, bool heal, double run_length,
       queue.schedule_in(duration, [&, session] {
         auto it = live.find(session.value());
         if (it == live.end()) return;  // lease expired first
-        keeper.forget(session);
-        coordinator.teardown(it->second, session, queue.now());
-        for (const auto& [id, amount] : it->second)
-          auditor.on_released(session, id, amount);
+        teardown(session, it->second);
         live.erase(it);
       });
     }
@@ -227,19 +241,13 @@ Outcome run(double drop_prob, int crashes, bool heal, double run_length,
   });
 
   queue.run_until(run_length + 40.0);
-  for (auto& [value, holdings] : live) {
-    const SessionId session{value};
-    keeper.forget(session);
-    coordinator.teardown(holdings, session, queue.now());
-    for (const auto& [id, amount] : holdings)
-      auditor.on_released(session, id, amount);
-  }
+  for (auto& [value, holdings] : live) teardown(SessionId{value}, holdings);
   live.clear();
   queue.run_all();
   reconcile(queue.now() + lease_config.lease + 1.0);
 
   // The model must match broker reality in both arms; only the healed arm
-  // promises zero residue — the plain arm's lost rollbacks strand capacity
+  // promises zero residue — the plain arm's lost releases strand capacity
   // permanently, which is the cost the comparison exists to show.
   outcome.audit_violations += auditor.audit_hosts().size();
   if (heal && !auditor.model_empty()) ++outcome.audit_violations;
@@ -276,7 +284,7 @@ int main(int argc, char** argv) {
   std::cout << "Extension: session availability vs control-plane fault "
                "rate (self-healing establishment + leases vs plain)\n";
   TablePrinter table({"drop", "crashes", "avail plain", "avail heal",
-                      "replans", "leases expired", "lost rollbacks",
+                      "replans", "leases expired", "lost releases",
                       "stranded plain", "stranded heal", "audit"});
   std::uint64_t total_violations = 0;
   for (const double drop : {0.0, 0.15, 0.3, 0.45, 0.6}) {
@@ -309,8 +317,8 @@ int main(int argc, char** argv) {
             << rate << "/60 TU; 'audit' must be 0 — the ReservationAuditor "
             << "demands model/broker agreement in both arms and zero "
             << "stranded capacity in the healed arm. 'stranded plain' is "
-            << "capacity permanently lost to rollback RPCs the fault plane "
-            << "ate — the leak the leases exist to close.)\n";
+            << "capacity permanently lost to rollback and teardown releases "
+            << "the fault plane ate — the leak the leases exist to close.)\n";
   if (total_violations != 0) {
     std::cerr << "FAIL: " << total_violations
               << " conservation violations\n";

@@ -17,8 +17,8 @@
 //               orphans of sessions that ended during the outage are
 //               reclaimed.
 //
-// Both arms route new arrivals around down brokers
-// (establish_with_recovery + a backup resource per component), so the
+// Both arms route new arrivals around down brokers (establish() with
+// EstablishPolicy::max_replans + a backup resource per component), so the
 // availability gap isolates what recovery does for *established*
 // sessions. Every run is audited: a ReservationAuditor mirrors each
 // reserve/release/reconciliation and the final column proves conservation
@@ -179,6 +179,8 @@ Outcome run(int outages, bool journaled, double run_length,
   coordinator.enable_leases(lease_config.lease);
   BasicPlanner planner;
   Rng planner_rng(rng());
+  EstablishPolicy policy;
+  policy.max_replans = 2;
 
   Outcome outcome;
   std::map<std::uint32_t, std::vector<std::pair<ResourceId, double>>> live;
@@ -266,7 +268,7 @@ Outcome run(int outages, bool journaled, double run_length,
             break;
           }
           case Resolution::kRpcFailed:
-            break;  // no transport attached: cannot happen here
+            break;  // lossless loopback: cannot happen here
         }
       }
       // Dead sessions that neither claimed nor still hold anything (their
@@ -324,8 +326,8 @@ Outcome run(int outages, bool journaled, double run_length,
     const SessionId session{next_session++};
     const double scale = rng.uniform(0.8, 1.3);
     const double duration = rng.uniform(8.0, 30.0);
-    const EstablishResult r = coordinator.establish_with_recovery(
-        session, now, planner, planner_rng, scale, /*max_replans=*/2);
+    const EstablishResult r = coordinator.establish(
+        session, now, planner, planner_rng, scale, nullptr, policy);
     ++outcome.sessions;
     outcome.replans += r.stats.replans;
     if (r.outcome == EstablishOutcome::kBrokerUnavailable)

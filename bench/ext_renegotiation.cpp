@@ -2,20 +2,12 @@
 //
 // In the base framework a session keeps the QoS level its admission-time
 // plan achieved, even if it was degraded and the contention later clears.
-// This extension periodically re-plans every *degraded* active session and
-// compares two upgrade mechanisms:
-//
-//   * break-before-make (legacy) — release the holdings, re-plan against
-//     current availability, re-reserve. In this single-writer simulation
-//     the old plan is feasible again the instant its own holdings are
-//     freed, so the session never regresses — but only because nothing
-//     can race the window in which it holds *zero* resources. Under a
-//     faulted control plane that window strands sessions (see
-//     RenegotiateFaults.UnreachableDeltaAbortNeverStrandsTheSession).
-//   * make-before-break (engine) — the AdaptationEngine's watchdog drives
-//     SessionCoordinator::renegotiate: deltas are reserved on top of the
-//     old plan and the floor moves only at the commit point, so at no
-//     instant does the session hold less than its committed plan.
+// This extension periodically re-plans every *degraded* active session,
+// make-before-break: the AdaptationEngine's watchdog drives
+// SessionCoordinator::renegotiate, deltas are reserved on top of the old
+// plan and the floor moves only at the commit point, so at no instant does
+// the session hold less than its committed plan. The baseline arm never
+// renegotiates.
 //
 // Metrics: time-weighted average end-to-end QoS level over each session's
 // lifetime (equals the static level when renegotiation is off), overall
@@ -36,12 +28,11 @@ using namespace qres;
 
 namespace {
 
-enum class Mode { kOff, kBreakBeforeMake, kEngine };
+enum class Mode { kOff, kEngine };
 
 const char* mode_name(Mode mode) {
   switch (mode) {
     case Mode::kOff: return "off";
-    case Mode::kBreakBeforeMake: return "break-make";
     case Mode::kEngine: return "engine (MBB)";
   }
   return "?";
@@ -96,10 +87,13 @@ Outcome run(Mode mode, double rate_per_60, double renegotiation_period,
   adapt::ContentionMonitor monitor(&scenario.registry(), std::move(watched));
   std::map<SessionCoordinator*, std::unique_ptr<adapt::AdaptationEngine>>
       engines;
+  // Watchdog passes tick the engines in (service, domain) order; walking
+  // the pointer-keyed map would tie the order to the heap layout.
+  std::vector<adapt::AdaptationEngine*> tick_order;
   if (mode == Mode::kEngine) {
     adapt::EngineConfig engine_config;
-    // Probe on every watchdog pass, like the legacy arm re-plans on every
-    // period; shedding is out of scope here (see ext_adaptation).
+    // Probe on every watchdog pass; shedding is out of scope here (see
+    // ext_adaptation).
     engine_config.upgrade_cooldown = renegotiation_period;
     engine_config.allow_preemption = false;
     engine_config.upgrade_only = true;
@@ -123,6 +117,7 @@ Outcome run(Mode mode, double rate_per_60, double renegotiation_period,
           a.rank = new_rank;
           if (new_rank < old_rank) ++outcome.upgrades;
         };
+        tick_order.push_back(engine.get());
         engines.emplace(&coordinator, std::move(engine));
       }
   }
@@ -172,39 +167,10 @@ Outcome run(Mode mode, double rate_per_60, double renegotiation_period,
   };
   queue.schedule(rng.exponential(rate_per_60 / 60.0), arrival);
 
-  // Legacy arm: periodic break-before-make re-planning of every degraded
-  // session (kept as the baseline the engine arm is measured against).
-  std::function<void()> renegotiate = [&] {
-    const double now = queue.now();
-    for (auto& [id, a] : active) {
-      if (a.rank == 0) continue;  // already at the top level
-      ++outcome.renegotiation_attempts;
-      const SessionId session{id};
-      // Release, re-plan, re-reserve. The old plan is feasible again the
-      // instant the holdings are freed, so in this single-writer world the
-      // session never fails or regresses — the zero-holdings window is
-      // exactly the hazard the engine arm eliminates.
-      a.coordinator->teardown(a.holdings, session, now);
-      EstablishResult result =
-          a.coordinator->establish(session, now, planner, rng, a.scale);
-      QRES_ASSERT(result.success);
-      QRES_ASSERT(result.plan->end_to_end_rank <= a.rank);
-      if (result.plan->end_to_end_rank < a.rank) {
-        a.weighted_level += level_of(a.rank) * (now - a.last_change);
-        a.last_change = now;
-        a.rank = result.plan->end_to_end_rank;
-        ++outcome.upgrades;
-      }
-      a.holdings = std::move(result.holdings);
-    }
-    if (now + renegotiation_period <= run_length)
-      queue.schedule_in(renegotiation_period, renegotiate);
-  };
-
   // Engine arm: the watchdog pass probes one rank up per degraded session
   // (additive increase), make-before-break.
   std::function<void()> watchdog = [&] {
-    for (auto& [coordinator, engine] : engines) {
+    for (adapt::AdaptationEngine* engine : tick_order) {
       outcome.renegotiation_attempts += active.size();  // comparable metric
       engine->tick(queue.now(), watchdog_rng);
     }
@@ -212,12 +178,8 @@ Outcome run(Mode mode, double rate_per_60, double renegotiation_period,
       queue.schedule_in(renegotiation_period, watchdog);
   };
 
-  if (renegotiation_period > 0.0) {
-    if (mode == Mode::kBreakBeforeMake)
-      queue.schedule(renegotiation_period, renegotiate);
-    else if (mode == Mode::kEngine)
-      queue.schedule(renegotiation_period, watchdog);
-  }
+  if (mode == Mode::kEngine)
+    queue.schedule(renegotiation_period, watchdog);
 
   queue.run_all();
   return outcome;
@@ -244,7 +206,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"rate", "mode", "reneg. period", "admission",
                       "lifetime QoS", "upgrades/1k ssn"});
   for (double rate : {120.0, 180.0, 240.0}) {
-    for (Mode mode : {Mode::kOff, Mode::kBreakBeforeMake, Mode::kEngine}) {
+    for (Mode mode : {Mode::kOff, Mode::kEngine}) {
       const double period = mode == Mode::kOff ? 0.0 : 30.0;
       Outcome merged;
       for (std::size_t r = 0; r < replicas; ++r) {
@@ -268,8 +230,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n(replicas per point: " << replicas
             << ", run length: " << run_length
-            << " TU; break-make is the legacy release/re-reserve upgrade "
-               "with its zero-holdings window, engine (MBB) upgrades "
-               "make-before-break via the adaptation engine)\n";
+            << " TU; engine (MBB) upgrades make-before-break via the "
+               "adaptation engine)\n";
   return 0;
 }

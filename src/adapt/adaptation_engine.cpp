@@ -179,14 +179,13 @@ bool AdaptationEngine::shed_one(SessionId victim, double now, Rng& rng) {
       return true;
     }
   }
-  // Last resort: evict. teardown releases through the local brokers, so
-  // this cannot be stranded by control-plane faults.
-  coordinator_->teardown(rec.holdings, victim, now);
-  if (auditor_) auditor_->on_session_released(victim);
+  // Last resort: evict. The victim's floor goes first: its teardown
+  // releases are RPCs, and mid-teardown it no longer holds its plan.
+  floors_.erase(victim);
+  release_session(victim, rec.holdings, now);
   ++stats_.preemptions;
   push_event(AdaptationEvent::Kind::kEvict, now, victim, rec.rank, rec.rank);
   sessions_.erase(victim);
-  floors_.erase(victim);
   if (on_evicted) on_evicted(victim);
   return true;
 }
@@ -274,21 +273,37 @@ EstablishResult AdaptationEngine::admit(SessionId session, double now,
 void AdaptationEngine::depart(SessionId session, double now) {
   const auto it = sessions_.find(session);
   if (it == sessions_.end()) return;
-  coordinator_->teardown(it->second.holdings, session, now);
-  if (auditor_) auditor_->on_session_released(session);
+  floors_.erase(session);  // see shed_one
+  release_session(session, it->second.holdings, now);
   push_event(AdaptationEvent::Kind::kDepart, now, session, it->second.rank,
              it->second.rank);
   sessions_.erase(session);
-  floors_.erase(session);
+}
+
+void AdaptationEngine::release_session(
+    SessionId session,
+    const std::vector<std::pair<ResourceId, double>>& holdings, double now) {
+  const auto undelivered = coordinator_->teardown(holdings, session, now);
+  if (auditor_) auditor_->on_session_released(session);
+  for (const auto& [res, amt] : undelivered) {
+    zombies_.push_back({session, res, amt});
+    if (auditor_) auditor_->on_reserved(session, res, amt);
+  }
 }
 
 std::size_t AdaptationEngine::release_zombies(double now) {
-  const std::size_t released = zombies_.size();
-  for (const ZombieHolding& z : zombies_) {
-    coordinator_->teardown({{z.resource, z.amount}}, z.session, now);
+  std::vector<ZombieHolding> pending;
+  pending.swap(zombies_);
+  std::size_t released = 0;
+  for (const ZombieHolding& z : pending) {
+    if (!coordinator_->teardown({{z.resource, z.amount}}, z.session, now)
+             .empty()) {
+      zombies_.push_back(z);
+      continue;
+    }
     if (auditor_) auditor_->on_released(z.session, z.resource, z.amount);
+    ++released;
   }
-  zombies_.clear();
   return released;
 }
 

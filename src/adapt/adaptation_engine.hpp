@@ -185,11 +185,13 @@ class AdaptationEngine {
   /// Null for sessions the engine does not track.
   const FlatMap<ResourceId, double>* floor(SessionId session) const;
 
-  /// Reservations stranded by failed admissions whose rollback release
-  /// could not be dispatched (the owning proxy was unreachable). They
-  /// stay held on the brokers — leased runs reclaim them by expiry;
-  /// release_zombies() models that cleanup explicitly and settles the
-  /// auditor's book. Returns the number of holdings released.
+  /// Reservations stranded by failed admissions whose rollback release,
+  /// or by departures and evictions whose teardown release, could not be
+  /// dispatched (the owning proxy was unreachable). They stay held on the
+  /// brokers — leased runs reclaim them by expiry; release_zombies()
+  /// retries the releases, settles the auditor's book for each one
+  /// delivered and keeps the rest. Returns the number of holdings
+  /// released.
   struct ZombieHolding {
     SessionId session;
     ResourceId resource;
@@ -224,6 +226,13 @@ class AdaptationEngine {
   /// give, eviction otherwise. Returns false when shedding failed (the
   /// victim could not be moved or released).
   bool shed_one(SessionId victim, double now, Rng& rng);
+
+  /// Tears a session's holdings down; releases the control plane could
+  /// not deliver stay held and become zombies (the auditor keeps them).
+  void release_session(
+      SessionId session,
+      const std::vector<std::pair<ResourceId, double>>& holdings,
+      double now);
 
   /// Applies the auditor delta between two holdings books of a session.
   void audit_transition(

@@ -49,20 +49,30 @@ JournalStatus MemoryJournal::append(const JournalRecord& record) {
       // means a retried request re-executes against restored holdings — a
       // double grant (found by qres_mc on the `crashy` topology). Retain
       // the newest reply_cache_keep_ of them ahead of the snapshot
-      // barrier.
-      std::vector<JournalRecord> retained;
+      // barrier. Compaction runs in place: the vector keeps its capacity,
+      // so a journal that snapshots every few records does not churn
+      // large allocations.
+      std::size_t replies = 0;
       for (const JournalRecord& kept : records_)
-        if (kept.op == JournalOp::kReplyCache) retained.push_back(kept);
-      if (retained.size() > reply_cache_keep_)
-        retained.erase(retained.begin(),
-                       retained.end() -
-                           static_cast<std::ptrdiff_t>(reply_cache_keep_));
-      // Behind the snapshot barrier the replies are fsynced state;
-      // grouping with their (now compacted) mutation records no longer
-      // applies.
-      for (JournalRecord& kept : retained) kept.grouped = false;
-      compacted_away_ += records_.size() - retained.size();
-      records_ = std::move(retained);
+        if (kept.op == JournalOp::kReplyCache) ++replies;
+      std::size_t too_old =
+          replies > reply_cache_keep_ ? replies - reply_cache_keep_ : 0;
+      auto out = records_.begin();
+      for (auto it = records_.begin(); it != records_.end(); ++it) {
+        if (it->op != JournalOp::kReplyCache) continue;
+        if (too_old > 0) {
+          --too_old;
+          continue;
+        }
+        // Behind the snapshot barrier the replies are fsynced state;
+        // grouping with their (now compacted) mutation records no longer
+        // applies.
+        it->grouped = false;
+        if (out != it) *out = std::move(*it);
+        ++out;
+      }
+      compacted_away_ += static_cast<std::uint64_t>(records_.end() - out);
+      records_.erase(out, records_.end());
     }
   }
   records_.push_back(record);

@@ -123,7 +123,7 @@ std::optional<ReservationPlan> extract_plan(
 /// Rationale: when observations are stale (§5.2.4), the Psi-minimal
 /// plan's reservation can fail even though other feasible plans would
 /// have succeeded; callers can fall back down this list instead of
-/// failing the session (see SessionCoordinator::establish_resilient).
+/// failing the session (see EstablishPolicy::fallback_attempts).
 std::vector<ReservationPlan> enumerate_plans(const Qrg& qrg,
                                              std::uint32_t sink_node,
                                              std::size_t max_plans = 16,

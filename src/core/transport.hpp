@@ -48,7 +48,15 @@ enum class ExchangeStatus : std::uint8_t {
   kDeadlineExceeded,  ///< deadline budget exhausted before the retry budget
 };
 
-const char* to_string(ExchangeStatus status) noexcept;
+inline const char* to_string(ExchangeStatus status) noexcept {
+  switch (status) {
+    case ExchangeStatus::kOk: return "ok";
+    case ExchangeStatus::kTimeout: return "timeout";
+    case ExchangeStatus::kPeerDown: return "peer-down";
+    case ExchangeStatus::kDeadlineExceeded: return "deadline-exceeded";
+  }
+  return "?";
+}
 
 /// Typed result of one reliable exchange: status plus the number of
 /// transmissions actually spent (>= 1 on success; the attempts burned
@@ -65,16 +73,12 @@ class IControlTransport {
   virtual ~IControlTransport() = default;
 
   /// One reliable request/response exchange between two proxy hosts at
-  /// simulation time `now` (retries included), under the transport's own
-  /// default retry policy.
-  virtual ExchangeResult exchange(HostId from, HostId to, double now) = 0;
-
-  /// Like exchange(), but under a caller-supplied retry policy — the RPC
-  /// shim truncates the attempt budget to fit the propagated deadline and
-  /// passes the result here. The default ignores the policy (a perfect
-  /// transport needs no budget).
-  virtual ExchangeResult exchange_budgeted(HostId from, HostId to, double now,
-                                           const RetryPolicy& policy);
+  /// simulation time `now` (retries included). `budget` is the retry
+  /// policy to spend — the RPC shim passes its own policy truncated to fit
+  /// a propagated deadline — or null for the transport's own default
+  /// policy. A perfect transport may ignore it.
+  virtual ExchangeResult exchange(HostId from, HostId to, double now,
+                                  const RetryPolicy* budget) = 0;
 
   /// Whether `host` is up at time `t` (outside any scripted crash
   /// window).

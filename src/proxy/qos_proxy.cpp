@@ -1,7 +1,6 @@
 #include "proxy/qos_proxy.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
@@ -77,18 +76,17 @@ SessionCoordinator::SessionCoordinator(const ServiceDefinition* service,
   QRES_REQUIRE(registry != nullptr, "SessionCoordinator: null registry");
   QRES_REQUIRE(!footprint_.empty(),
                "SessionCoordinator: empty resource footprint");
-}
-
-void SessionCoordinator::attach_faults(IControlTransport* transport,
-                                       HostId main_host) {
-  QRES_REQUIRE(transport != nullptr, "attach_faults: null transport");
-  QRES_REQUIRE(main_host.valid(), "attach_faults: invalid main host");
-  // Implicit control plane through the RPC shim: with the default config
-  // (breaker disabled, no deadline) the shim is bit-identical to a
-  // direct exchange.
-  channel_ = std::make_unique<rpc::RpcChannel>(transport, nullptr, nullptr);
-  rpc_service_ = nullptr;
-  main_host_ = main_host;
+  // Overhead accounting (§4.2): one availability round trip per
+  // participating proxy (distinct component host).
+  std::size_t hosts = 0;
+  for (ComponentIndex c = 0; c < service_->component_count(); ++c) {
+    const HostId host = service_->component(c).host();
+    bool seen = !host.valid();
+    for (ComponentIndex d = 0; d < c && !seen; ++d)
+      seen = service_->component(d).host() == host;
+    if (!seen) ++hosts;
+  }
+  if (hosts > 0) participating_proxies_ = hosts;
 }
 
 void SessionCoordinator::attach_rpc_service(rpc::BrokerService* service,
@@ -100,8 +98,21 @@ void SessionCoordinator::attach_rpc_service(rpc::BrokerService* service,
   QRES_REQUIRE(main_host.valid(), "attach_rpc_service: invalid main host");
   channel_ =
       std::make_unique<rpc::RpcChannel>(transport, service, faults, config);
-  rpc_service_ = service;
   main_host_ = main_host;
+}
+
+rpc::RpcChannel& SessionCoordinator::channel() {
+  if (!channel_) {
+    // Without a transport or frame faults nothing is ever redelivered, so
+    // the loopback's replay cache only needs to exist, not to be large.
+    rpc::BrokerService::Config config;
+    config.dedup_capacity = 16;
+    loopback_ = std::make_unique<rpc::BrokerService>(registry_, config);
+    channel_ =
+        std::make_unique<rpc::RpcChannel>(nullptr, loopback_.get(), nullptr);
+    main_host_ = service_->component(0).host();
+  }
+  return *channel_;
 }
 
 void SessionCoordinator::set_rpc_deadline(double budget) {
@@ -119,142 +130,133 @@ void SessionCoordinator::enable_leases(double lease_duration) {
   lease_ = lease_duration;
 }
 
-bool SessionCoordinator::reserve_segment(ResourceId id, double now,
-                                         SessionId session, double amount) {
-  if (lease_ > 0.0)
-    return registry_->broker(id).reserve_leased(now, session, amount, lease_);
-  return registry_->broker(id).reserve(now, session, amount);
-}
-
-AvailabilityView SessionCoordinator::collect_footprint(
+void SessionCoordinator::observe_footprint(
     double now, const std::function<double(ResourceId)>& staleness,
-    std::vector<ResourceId>* down,
-    const FlatMap<ResourceId, rpc::QuerySample>& sampled) const {
-  // A down broker cannot be observed (its observe() aborts by contract:
-  // unavailable, never "empty"). The coordinator observes the up subset
-  // and pins down resources at zero availability so planning routes
-  // around them; the typed kBrokerUnavailable outcome is attributed when
-  // that routing finds no plan. Resources already sampled remotely (a
-  // typed-mode QueryReply) take the remote observation verbatim — each
-  // broker is observed exactly once per snapshot in either mode.
-  std::vector<ResourceId> up;
-  up.reserve(footprint_.size());
-  std::vector<std::pair<ResourceId, rpc::QuerySample>> remote;
-  for (ResourceId id : footprint_) {
-    if (const auto it = sampled.find(id); it != sampled.end()) {
-      remote.push_back({id, it->second});
-      if (it->second.up == 0) down->push_back(id);
+    const std::vector<ResourceId>& dead, PlanningSnapshot* snapshot) {
+  rpc::RpcChannel& rpc = channel();
+  const ResourceCatalog& catalog = registry_->catalog();
+  CoordinationStats& stats = snapshot->stats;
+  stats.participating_proxies = participating_proxies_;
+  stats.availability_messages = participating_proxies_;
+
+  // Observation times exactly as BrokerRegistry::collect computes them:
+  // one staleness call per up resource, in footprint order, clamped at 0
+  // (the draw order is part of the figure-12 determinism contract).
+  std::vector<double> observe_at;
+  if (staleness) {
+    observe_at.assign(footprint_.size(), now);
+    for (std::size_t i = 0; i < footprint_.size(); ++i) {
+      if (!registry_->broker(footprint_[i]).up()) continue;
+      const double lag = staleness(footprint_[i]);
+      QRES_REQUIRE(lag >= 0.0, "SessionCoordinator: negative staleness");
+      observe_at[i] = std::max(0.0, now - lag);
+    }
+  }
+  const auto time_of = [&](std::size_t i) {
+    return observe_at.empty() ? now : observe_at[i];
+  };
+  const auto remote = [&](ResourceId id) {
+    const HostId owner = catalog.host(id);
+    return owner.valid() && owner != main_host_;
+  };
+
+  // Each remote owner answers one QueryRequest for all its footprint
+  // resources. A proxy that cannot be reached contributes zero
+  // availability for its resources (the main proxy has no report to plan
+  // from), so the planner routes around it instead of reserving blind.
+  std::vector<rpc::QuerySample> samples;
+  for (std::size_t i = 0; i < footprint_.size(); ++i) {
+    const HostId owner = catalog.host(footprint_[i]);
+    if (!remote(footprint_[i])) continue;
+    bool polled = false;
+    for (std::size_t j = 0; j < i && !polled; ++j)
+      polled = catalog.host(footprint_[j]) == owner;
+    if (polled) continue;
+    rpc::QueryRequest request;
+    request.header.deadline = rpc_deadline(now);
+    for (std::size_t j = i; j < footprint_.size(); ++j)
+      if (catalog.host(footprint_[j]) == owner)
+        request.entries.push_back({footprint_[j].value(), time_of(j)});
+    const rpc::CallResult result =
+        rpc.call(main_host_, owner, std::move(request), now);
+    const auto* reply = result.ok()
+                            ? std::get_if<rpc::QueryReply>(&result.reply)
+                            : nullptr;
+    if (reply == nullptr || reply->code != rpc::RpcCode::kOk) {
+      ++stats.unreachable_proxies;
       continue;
     }
-    if (registry_->broker(id).up())
-      up.push_back(id);
-    else
-      down->push_back(id);
+    if (result.transmissions > 1)
+      stats.retransmissions += static_cast<std::size_t>(result.transmissions - 1);
+    samples.insert(samples.end(), reply->samples.begin(),
+                   reply->samples.end());
   }
-  AvailabilityView view = registry_->collect(up, now, staleness);
-  for (const auto& [id, sample] : remote)
-    if (sample.up != 0) view.set(id, sample.available, sample.alpha);
-  for (ResourceId id : *down) view.set(id, 0.0, 1.0);
-  return view;
-}
 
-EstablishResult SessionCoordinator::establish(
-    SessionId session, double now, const IPlanner& planner, Rng& rng,
-    double scale, const std::function<double(ResourceId)>& staleness) {
-  return establish_impl(session, now, planner, rng, scale, staleness, {});
-}
-
-void SessionCoordinator::poll_participants(
-    double now, const std::function<double(ResourceId)>& staleness,
-    CoordinationStats* stats, std::vector<ResourceId>* unavailable,
-    FlatMap<ResourceId, rpc::QuerySample>* sampled) {
-  // Overhead accounting (§4.2): one availability round trip per
-  // participating proxy (distinct component host), one dispatch per plan
-  // segment later.
-  std::set<std::uint32_t> hosts;
-  for (ComponentIndex c = 0; c < service_->component_count(); ++c) {
-    const HostId host = service_->component(c).host();
-    if (host.valid()) hosts.insert(host.value());
-  }
-  stats->participating_proxies = hosts.empty() ? 1 : hosts.size();
-  stats->availability_messages = stats->participating_proxies;
-
-  // Under faults each remote proxy's report is one RPC round trip; a
-  // proxy that cannot be reached contributes zero availability for its
-  // resources (the main proxy has no report to plan from), so the
-  // planner routes around it instead of reserving blind. Typed mode
-  // folds the round trip and the report into one QueryRequest whose
-  // samples land in `sampled`.
-  if (!channel_) return;
-  std::set<std::uint32_t> polled;
-  for (ResourceId id : footprint_) {
-    const HostId owner = registry_->catalog().host(id);
-    if (!owner.valid() || owner == main_host_) continue;
-    if (!polled.insert(owner.value()).second) continue;
-    bool reached = false;
-    int transmissions = 0;
-    if (rpc_service_) {
-      rpc::QueryRequest request;
-      request.header.deadline = rpc_deadline(now);
-      for (ResourceId other : footprint_)
-        if (registry_->catalog().host(other) == owner)
-          request.entries.push_back(
-              {other.value(), now - (staleness ? staleness(other) : 0.0)});
-      const rpc::CallResult result =
-          channel_->call(main_host_, owner, std::move(request), now);
-      transmissions = result.transmissions;
-      if (result.ok()) {
-        const auto& reply = std::get<rpc::QueryReply>(result.reply);
-        if (reply.code == rpc::RpcCode::kOk) {
-          reached = true;
-          for (const rpc::QuerySample& sample : reply.samples)
-            sampled->insert_or_assign(ResourceId{sample.resource}, sample);
-        }
+  // Fold the remote samples and the main-local observations into the view
+  // in footprint order. A remote resource without a sample (its owner was
+  // unreachable) is pinned at zero. A down broker is never observed (its
+  // observe() aborts by contract: unavailable, never "empty"); it is
+  // pinned at zero and recorded, so kBrokerUnavailable can be attributed
+  // when that routing finds no plan.
+  AvailabilityView& view = snapshot->view;
+  for (std::size_t i = 0; i < footprint_.size(); ++i) {
+    const ResourceId id = footprint_[i];
+    bool up = false;
+    if (remote(id)) {
+      const auto it =
+          std::find_if(samples.begin(), samples.end(),
+                       [&](const rpc::QuerySample& sample) {
+                         return sample.resource == id.value();
+                       });
+      if (it == samples.end()) {
+        view.set(id, 0.0, 1.0);
+        continue;
       }
+      up = it->up != 0;
+      if (up) view.set(id, it->available, it->alpha);
     } else {
-      const ExchangeResult result =
-          channel_->ping(main_host_, owner, now, rpc_deadline(now));
-      reached = result.ok();
-      transmissions = result.transmissions;
+      IBroker& broker = registry_->broker(id);
+      up = broker.up();
+      if (up) {
+        const ResourceObservation obs = broker.observe(time_of(i));
+        view.set(id, obs.available, obs.alpha);
+      }
     }
-    if (!reached) {
-      ++stats->unreachable_proxies;
-      for (ResourceId other : footprint_)
-        if (registry_->catalog().host(other) == owner)
-          unavailable->push_back(other);
-    } else if (transmissions > 1) {
-      stats->retransmissions += static_cast<std::size_t>(transmissions - 1);
+    if (!up) {
+      snapshot->down.push_back(id);
+      view.set(id, 0.0, 1.0);
     }
   }
+  for (ResourceId id : dead) view.set(id, 0.0, 1.0);
 }
 
-bool SessionCoordinator::rpc_to_owner(ResourceId id, double now,
-                                      CoordinationStats* stats) {
-  if (!channel_) return true;
-  const HostId owner = registry_->catalog().host(id);
-  if (!owner.valid() || owner == main_host_) return true;
-  const ExchangeResult result =
-      channel_->ping(main_host_, owner, now, rpc_deadline(now));
-  if (!result.ok()) {
-    ++stats->unreachable_proxies;
+bool SessionCoordinator::routed_ok(ResourceId id,
+                                   const rpc::RoutedResult& routed,
+                                   CoordinationStats* stats) {
+  if (!routed.ok()) {
+    if (stats) ++stats->unreachable_proxies;
     return false;
   }
-  if (result.transmissions > 1)
+  const rpc::CallResult& result = routed.result;
+  if (stats && result.transmissions > 1)
     stats->retransmissions += static_cast<std::size_t>(result.transmissions - 1);
+  if (const auto* redirect = std::get_if<rpc::RedirectReply>(&result.reply)) {
+    // Redirect chain did not converge (hint-less or looping): learn what
+    // the refuser knew so the next attempt routes to the new primary,
+    // and report a retryable fault.
+    if (directory_ != nullptr)
+      directory_->update(id, redirect->epoch, HostId{redirect->primary_host});
+    if (stats) ++stats->unreachable_proxies;
+    return false;
+  }
+  if (routed.redirects > 0 && directory_ != nullptr)
+    directory_->update(id, routed.epoch_hint, routed.served_by);
   return true;
 }
 
-SessionCoordinator::Dispatch SessionCoordinator::dispatch_reserve(
+EstablishOutcome SessionCoordinator::dispatch_reserve(
     ResourceId id, double now, SessionId session, double amount,
     CoordinationStats* stats) {
-  if (!rpc_service_) {
-    // Implicit mode: the old up()/RPC/reserve ladder, verbatim.
-    if (!registry_->broker(id).up()) return Dispatch::kBrokerDown;
-    if (!rpc_to_owner(id, now, stats)) return Dispatch::kUnreachable;
-    ++stats->reservations_attempted;
-    return reserve_segment(id, now, session, amount) ? Dispatch::kOk
-                                                     : Dispatch::kAdmission;
-  }
   rpc::ReserveRequest request;
   request.header.session = session.value();
   request.header.deadline = rpc_deadline(now);
@@ -265,35 +267,21 @@ SessionCoordinator::Dispatch SessionCoordinator::dispatch_reserve(
   const HostId to = route_for(id, &epoch);
   request.header.epoch = epoch;
   const rpc::RoutedResult routed =
-      channel_->call_routed(main_host_, to, std::move(request), now);
-  if (!routed.ok()) {
-    ++stats->unreachable_proxies;
-    return Dispatch::kUnreachable;
-  }
-  const rpc::CallResult& result = routed.result;
-  if (result.transmissions > 1)
-    stats->retransmissions += static_cast<std::size_t>(result.transmissions - 1);
-  if (const auto* redirect = std::get_if<rpc::RedirectReply>(&result.reply)) {
-    // Redirect chain did not converge (hint-less or looping): learn what
-    // the refuser knew so the next attempt routes to the new primary,
-    // and report a retryable fault.
-    if (directory_ != nullptr)
-      directory_->update(id, redirect->epoch, HostId{redirect->primary_host});
-    ++stats->unreachable_proxies;
-    return Dispatch::kUnreachable;
-  }
-  if (routed.redirects > 0 && directory_ != nullptr)
-    directory_->update(id, routed.epoch_hint, routed.served_by);
-  const auto& reply = std::get<rpc::ReserveReply>(result.reply);
-  switch (reply.code) {
+      channel().call_routed(main_host_, to, std::move(request), now);
+  const auto* reply =
+      routed_ok(id, routed, stats)
+          ? std::get_if<rpc::ReserveReply>(&routed.result.reply)
+          : nullptr;
+  if (reply == nullptr) return EstablishOutcome::kUnreachable;
+  switch (reply->code) {
     case rpc::RpcCode::kOk:
       ++stats->reservations_attempted;
-      return Dispatch::kOk;
+      return EstablishOutcome::kOk;
     case rpc::RpcCode::kAdmissionReject:
       ++stats->reservations_attempted;
-      return Dispatch::kAdmission;
+      return EstablishOutcome::kAdmission;
     case rpc::RpcCode::kBrokerDown:
-      return Dispatch::kBrokerDown;
+      return EstablishOutcome::kBrokerUnavailable;
     case rpc::RpcCode::kBadRequest:
     case rpc::RpcCode::kDeadlineExceeded:
     case rpc::RpcCode::kBackpressure:
@@ -301,20 +289,14 @@ SessionCoordinator::Dispatch SessionCoordinator::dispatch_reserve(
       // The dispatch never took effect — retryable, like an unreachable
       // owner.
       ++stats->unreachable_proxies;
-      return Dispatch::kUnreachable;
+      return EstablishOutcome::kUnreachable;
   }
-  return Dispatch::kUnreachable;  // out-of-range code from a hostile peer
+  return EstablishOutcome::kUnreachable;  // out-of-range code from a peer
 }
 
 bool SessionCoordinator::dispatch_release(ResourceId id, double now,
                                           SessionId session, double amount,
                                           CoordinationStats* stats) {
-  if (!rpc_service_) {
-    if (!registry_->broker(id).up()) return false;
-    if (!rpc_to_owner(id, now, stats)) return false;
-    registry_->broker(id).release_amount(now, session, amount);
-    return true;
-  }
   rpc::ReleaseRequest request;
   request.header.session = session.value();
   request.header.deadline = rpc_deadline(now);
@@ -325,24 +307,48 @@ bool SessionCoordinator::dispatch_release(ResourceId id, double now,
   const HostId to = route_for(id, &epoch);
   request.header.epoch = epoch;
   const rpc::RoutedResult routed =
-      channel_->call_routed(main_host_, to, std::move(request), now);
-  if (!routed.ok()) {
-    if (stats) ++stats->unreachable_proxies;
-    return false;
-  }
-  const rpc::CallResult& result = routed.result;
-  if (stats && result.transmissions > 1)
-    stats->retransmissions += static_cast<std::size_t>(result.transmissions - 1);
-  if (const auto* redirect = std::get_if<rpc::RedirectReply>(&result.reply)) {
-    if (directory_ != nullptr)
-      directory_->update(id, redirect->epoch, HostId{redirect->primary_host});
-    if (stats) ++stats->unreachable_proxies;
-    return false;
-  }
-  if (routed.redirects > 0 && directory_ != nullptr)
-    directory_->update(id, routed.epoch_hint, routed.served_by);
-  const auto* reply = std::get_if<rpc::ReleaseReply>(&result.reply);
+      channel().call_routed(main_host_, to, std::move(request), now);
+  if (!routed_ok(id, routed, stats)) return false;
+  const auto* reply = std::get_if<rpc::ReleaseReply>(&routed.result.reply);
   return reply != nullptr && reply->code == rpc::RpcCode::kOk;
+}
+
+bool SessionCoordinator::reserve_all(
+    const ResourceVector& amounts, SessionId session, double now,
+    EstablishResult* result,
+    std::vector<std::pair<ResourceId, double>>* reserved) {
+  reserved->reserve(amounts.size());
+  for (const auto& [id, amount] : amounts) {
+    // A plan cannot normally require a down broker (its availability was
+    // pinned at zero), but a zero-amount segment can slip through — the
+    // dispatch types it as the outage it is.
+    const EstablishOutcome outcome =
+        dispatch_reserve(id, now, session, amount, &result->stats);
+    if (outcome == EstablishOutcome::kOk) {
+      reserved->push_back({id, amount});
+      continue;
+    }
+    result->outcome = outcome;
+    result->failed_resource = id;
+    // Roll back everything reserved for this session so far. A rollback
+    // release is itself an RPC; if the owning proxy has become
+    // unreachable (or its broker went down, in which case the journal
+    // will resurrect the holding at restart) the release cannot be
+    // delivered and the reservation leaks until its lease expires or
+    // reconciliation reclaims it — reported via result->leaked so the
+    // caller (and the auditor) can account for it.
+    for (const auto& [held, held_amount] : *reserved) {
+      if (!dispatch_release(held, now, session, held_amount,
+                            &result->stats)) {
+        result->leaked.push_back({held, held_amount});
+        continue;
+      }
+      ++result->stats.reservations_rolled_back;
+    }
+    reserved->clear();
+    return false;
+  }
+  return true;
 }
 
 HostId SessionCoordinator::route_for(ResourceId id,
@@ -365,13 +371,7 @@ SessionCoordinator::PlanningSnapshot SessionCoordinator::snapshot_for_planning(
     snapshot.overloaded = true;
     return snapshot;
   }
-
-  // Phase 1: collect availability for the service's resource footprint.
-  std::vector<ResourceId> unavailable = dead;
-  FlatMap<ResourceId, rpc::QuerySample> sampled;
-  poll_participants(now, staleness, &snapshot.stats, &unavailable, &sampled);
-  snapshot.view = collect_footprint(now, staleness, &snapshot.down, sampled);
-  for (ResourceId id : unavailable) snapshot.view.set(id, 0.0, 1.0);
+  observe_footprint(now, staleness, dead, &snapshot);
   return snapshot;
 }
 
@@ -410,69 +410,119 @@ EstablishResult SessionCoordinator::commit_planned(
   }
   result.plan = std::move(planned.plan);
 
-  // Phase 3: dispatch plan segments; all-or-nothing reservation. Under
-  // faults every remote segment is one dispatch RPC; an unreachable
-  // owner aborts the establishment like an admission failure, except the
-  // outcome is retryable (establish_with_recovery re-plans around it).
+  // Phase 3: dispatch plan segments; all-or-nothing reservation. An
+  // unreachable owner aborts the establishment like an admission
+  // failure, except the outcome is retryable (EstablishPolicy's replans
+  // route around it).
   result.stats.dispatch_messages = result.plan->steps.size();
-  const ResourceVector total = result.plan->total_requirement();
-  std::vector<std::pair<ResourceId, double>> reserved;
-  reserved.reserve(total.size());
-  bool ok = true;
-  for (const auto& [id, amount] : total) {
-    // A plan cannot normally require a down broker (its availability was
-    // pinned at zero), but a zero-amount segment can slip through — the
-    // dispatch types it as the outage it is.
-    switch (dispatch_reserve(id, now, session, amount, &result.stats)) {
-      case Dispatch::kOk:
-        reserved.push_back({id, amount});
-        continue;
-      case Dispatch::kBrokerDown:
-        result.outcome = EstablishOutcome::kBrokerUnavailable;
-        break;
-      case Dispatch::kUnreachable:
-        result.outcome = EstablishOutcome::kUnreachable;
-        break;
-      case Dispatch::kAdmission:
-        result.outcome = EstablishOutcome::kAdmission;
-        break;
-    }
-    result.failed_resource = id;
-    ok = false;
-    break;
-  }
-  if (!ok) {
-    // Roll back everything reserved for this session so far. A rollback
-    // release is itself an RPC; if the owning proxy has become
-    // unreachable (or its broker went down, in which case the journal
-    // will resurrect the holding at restart) the release cannot be
-    // delivered and the reservation leaks until its lease expires or
-    // reconciliation reclaims it — reported via result.leaked so the
-    // caller (and the auditor) can account for it.
-    for (const auto& [id, amount] : reserved) {
-      if (!dispatch_release(id, now, session, amount, &result.stats)) {
-        result.leaked.push_back({id, amount});
-        continue;
-      }
-      ++result.stats.reservations_rolled_back;
-    }
+  if (!reserve_all(result.plan->total_requirement(), session, now, &result,
+                   &result.holdings))
     return result;
-  }
   result.success = true;
   result.outcome = EstablishOutcome::kOk;
-  result.holdings = std::move(reserved);
   return result;
 }
 
-EstablishResult SessionCoordinator::establish_impl(
+namespace {
+
+/// Same operating point at every component (what makes two plans of one
+/// QRG the same plan).
+bool same_plan(const ReservationPlan& a, const ReservationPlan& b) {
+  if (a.steps.size() != b.steps.size()) return false;
+  for (std::size_t i = 0; i < a.steps.size(); ++i)
+    if (a.steps[i].component != b.steps[i].component ||
+        a.steps[i].in_level != b.steps[i].in_level ||
+        a.steps[i].out_level != b.steps[i].out_level)
+      return false;
+  return true;
+}
+
+}  // namespace
+
+EstablishResult SessionCoordinator::establish_round(
     SessionId session, double now, const IPlanner& planner, Rng& rng,
     double scale, const std::function<double(ResourceId)>& staleness,
-    const std::vector<ResourceId>& dead) {
-  PlanningSnapshot snapshot = snapshot_for_planning(now, staleness, dead);
+    const std::vector<ResourceId>& dead, std::size_t fallback_attempts) {
+  const PlanningSnapshot snapshot =
+      snapshot_for_planning(now, staleness, dead);
   if (snapshot.overloaded)
     return commit_planned(session, now, snapshot, PlanResult{});
-  PlanResult planned = plan_on_snapshot(snapshot, planner, rng, scale);
-  return commit_planned(session, now, snapshot, std::move(planned));
+  if (fallback_attempts == 1)
+    return commit_planned(session, now, snapshot,
+                          plan_on_snapshot(snapshot, planner, rng, scale));
+
+  // Plan fallback: when the planner's choice is rejected by admission
+  // (its stale observation overstated some resource), dispatch the
+  // next-cheapest feasible plans of the same, then lower-ranked, levels
+  // from the same snapshot.
+  const Qrg qrg(*service_, snapshot.view, psi_kind_, scale);
+  EstablishResult result =
+      commit_planned(session, now, snapshot, planner.plan(qrg, rng));
+  if (result.outcome != EstablishOutcome::kAdmission) return result;
+  std::size_t attempts_left = fallback_attempts - 1;
+  const std::vector<std::uint32_t>& ranked = qrg.ranked_sink_nodes();
+  for (std::size_t rank = result.plan->end_to_end_rank;
+       rank < result.sinks.size() && attempts_left > 0; ++rank) {
+    if (!result.sinks[rank].reachable) continue;
+    for (ReservationPlan& plan :
+         enumerate_plans(qrg, ranked[rank], attempts_left + 1)) {
+      if (attempts_left == 0) break;
+      if (same_plan(plan, *result.plan)) continue;  // the first choice
+      --attempts_left;
+      result.stats.dispatch_messages += plan.steps.size();
+      if (reserve_all(plan.total_requirement(), session, now, &result,
+                      &result.holdings)) {
+        result.success = true;
+        result.outcome = EstablishOutcome::kOk;
+        result.plan = std::move(plan);  // what was actually reserved
+        return result;
+      }
+      if (result.outcome != EstablishOutcome::kAdmission) return result;
+    }
+  }
+  return result;
+}
+
+EstablishResult SessionCoordinator::establish(
+    SessionId session, double now, const IPlanner& planner, Rng& rng,
+    double scale, const std::function<double(ResourceId)>& staleness,
+    EstablishPolicy policy) {
+  QRES_REQUIRE(policy.fallback_attempts >= 1,
+               "establish: at least one plan attempt required");
+  QRES_REQUIRE(policy.fallback_attempts == 1 || service_->is_chain(),
+               "establish: plan fallback needs a chain service");
+  QRES_REQUIRE(policy.max_replans >= 0, "establish: negative replan budget");
+  EstablishResult result = establish_round(session, now, planner, rng, scale,
+                                           staleness, {},
+                                           policy.fallback_attempts);
+  // Self-healing: an unreachable owner is a fault, not a rejection. Every
+  // footprint resource on its host is forced to zero availability so
+  // each re-plan routes around it (degraded QoS is the planner's
+  // business, not ours).
+  std::vector<ResourceId> dead;
+  for (int round = 1; round <= policy.max_replans &&
+                      result.outcome == EstablishOutcome::kUnreachable;
+       ++round) {
+    const HostId lost = registry_->catalog().host(result.failed_resource);
+    for (ResourceId id : footprint_)
+      if (registry_->catalog().host(id) == lost) dead.push_back(id);
+    EstablishResult next = establish_round(session, now, planner, rng, scale,
+                                           staleness, dead,
+                                           policy.fallback_attempts);
+    CoordinationStats& acc = next.stats;
+    acc.availability_messages += result.stats.availability_messages;
+    acc.dispatch_messages += result.stats.dispatch_messages;
+    acc.reservations_attempted += result.stats.reservations_attempted;
+    acc.reservations_rolled_back += result.stats.reservations_rolled_back;
+    acc.retransmissions += result.stats.retransmissions;
+    acc.unreachable_proxies += result.stats.unreachable_proxies;
+    acc.replans = static_cast<std::size_t>(round);
+    result.leaked.insert(result.leaked.end(), next.leaked.begin(),
+                         next.leaked.end());
+    next.leaked = std::move(result.leaked);
+    result = std::move(next);
+  }
+  return result;
 }
 
 EstablishResult SessionCoordinator::renegotiate(
@@ -489,12 +539,10 @@ EstablishResult SessionCoordinator::renegotiate(
   EstablishResult result;
 
   // Phase 1: fresh snapshot, same RPC accounting as an establishment.
-  std::vector<ResourceId> unavailable;
-  FlatMap<ResourceId, rpc::QuerySample> sampled;
-  poll_participants(now, staleness, &result.stats, &unavailable, &sampled);
-  std::vector<ResourceId> down;
-  AvailabilityView view = collect_footprint(now, staleness, &down, sampled);
-  for (ResourceId id : unavailable) view.set(id, 0.0, 1.0);
+  PlanningSnapshot snapshot;
+  observe_footprint(now, staleness, {}, &snapshot);
+  result.stats = snapshot.stats;
+  AvailabilityView& view = snapshot.view;
 
   // Credit the session's own holdings back into the snapshot: the new
   // plan may reuse anything it already holds, so feasibility is judged
@@ -524,10 +572,10 @@ EstablishResult SessionCoordinator::renegotiate(
   }
   if (!planned.plan) {
     // Nothing reserved; the old plan stands. Typed as an outage when one
-    // may explain the miss (see establish_impl).
-    if (!down.empty()) {
+    // may explain the miss (see commit_planned).
+    if (!snapshot.down.empty()) {
       result.outcome = EstablishOutcome::kBrokerUnavailable;
-      result.failed_resource = down.front();
+      result.failed_resource = snapshot.down.front();
     }
     return result;
   }
@@ -535,49 +583,22 @@ EstablishResult SessionCoordinator::renegotiate(
 
   // Phase 3a (make): reserve only the positive per-resource deltas. The
   // old holdings are untouched until the whole transition is committed.
+  // An abort rolls the deltas back; the session still holds exactly its
+  // old plan. A rollback release whose RPC fails stays held beyond the old
+  // plan and is reported via leaked (the caller folds it into its record
+  // so the books keep matching the broker).
   FlatMap<ResourceId, double> old_held;
   for (const auto& [id, amount] : current) old_held[id] += amount;
   const ResourceVector new_total = result.plan->total_requirement();
   result.stats.dispatch_messages = result.plan->steps.size();
-  std::vector<std::pair<ResourceId, double>> deltas;
-  bool ok = true;
+  ResourceVector deltas;
   for (const auto& [id, amount] : new_total) {
     const auto it = old_held.find(id);
-    const double have = it == old_held.end() ? 0.0 : it->second;
-    const double delta = amount - have;
-    if (delta <= kEps) continue;
-    switch (dispatch_reserve(id, now, session, delta, &result.stats)) {
-      case Dispatch::kOk:
-        deltas.push_back({id, delta});
-        continue;
-      case Dispatch::kBrokerDown:
-        result.outcome = EstablishOutcome::kBrokerUnavailable;
-        break;
-      case Dispatch::kUnreachable:
-        result.outcome = EstablishOutcome::kUnreachable;
-        break;
-      case Dispatch::kAdmission:
-        result.outcome = EstablishOutcome::kAdmission;
-        break;
-    }
-    result.failed_resource = id;
-    ok = false;
-    break;
+    const double delta = amount - (it == old_held.end() ? 0.0 : it->second);
+    if (delta > kEps) deltas.set(id, delta);
   }
-  if (!ok) {
-    // Abort: roll the deltas back; the session still holds exactly its
-    // old plan. A rollback release whose RPC fails stays held beyond the
-    // old plan and is reported via leaked (the caller folds it into its
-    // record so the books keep matching the broker).
-    for (const auto& [id, amount] : deltas) {
-      if (!dispatch_release(id, now, session, amount, &result.stats)) {
-        result.leaked.push_back({id, amount});
-        continue;
-      }
-      ++result.stats.reservations_rolled_back;
-    }
-    return result;
-  }
+  std::vector<std::pair<ResourceId, double>> reserved;
+  if (!reserve_all(deltas, session, now, &result, &reserved)) return result;
 
   // Phase 3b (break): committed — release the excess of the old
   // holdings. The session now holds at least the new plan everywhere; an
@@ -606,124 +627,14 @@ EstablishResult SessionCoordinator::renegotiate(
   return result;
 }
 
-EstablishResult SessionCoordinator::establish_with_recovery(
-    SessionId session, double now, const IPlanner& planner, Rng& rng,
-    double scale, int max_replans,
-    const std::function<double(ResourceId)>& staleness) {
-  QRES_REQUIRE(max_replans >= 0,
-               "establish_with_recovery: negative replan budget");
-  // Resources on hosts observed dead in earlier rounds: forced to zero
-  // availability so each re-plan routes around them (degraded QoS is the
-  // planner's business, not ours).
-  std::vector<ResourceId> dead;
-  CoordinationStats acc;
-  std::vector<std::pair<ResourceId, double>> leaked;
-  for (int round = 0;; ++round) {
-    EstablishResult r =
-        establish_impl(session, now, planner, rng, scale, staleness, dead);
-    acc.participating_proxies = r.stats.participating_proxies;
-    acc.availability_messages += r.stats.availability_messages;
-    acc.dispatch_messages += r.stats.dispatch_messages;
-    acc.reservations_attempted += r.stats.reservations_attempted;
-    acc.reservations_rolled_back += r.stats.reservations_rolled_back;
-    acc.retransmissions += r.stats.retransmissions;
-    acc.unreachable_proxies += r.stats.unreachable_proxies;
-    leaked.insert(leaked.end(), r.leaked.begin(), r.leaked.end());
-    if (r.outcome != EstablishOutcome::kUnreachable ||
-        round == max_replans) {
-      acc.replans = static_cast<std::size_t>(round);
-      r.stats = acc;
-      r.leaked = std::move(leaked);
-      return r;
-    }
-    const HostId down = registry_->catalog().host(r.failed_resource);
-    for (ResourceId id : footprint_)
-      if (registry_->catalog().host(id) == down) dead.push_back(id);
-  }
-}
-
-EstablishResult SessionCoordinator::establish_resilient(
-    SessionId session, double now, std::size_t max_attempts, Rng& /*rng*/,
-    double scale, const std::function<double(ResourceId)>& staleness) {
-  QRES_REQUIRE(max_attempts >= 1,
-               "establish_resilient: at least one attempt required");
-  QRES_REQUIRE(service_->is_chain(),
-               "establish_resilient: chain services only");
-  EstablishResult result;
-  if (governor_ && governor_->should_reject(now, priority_hint_)) {
-    result.outcome = EstablishOutcome::kOverload;
-    return result;
-  }
-  result.stats.participating_proxies = 1;
-  result.stats.availability_messages = 1;
-
-  std::vector<ResourceId> down;
-  const AvailabilityView view = collect_footprint(now, staleness, &down);
-  const Qrg qrg(*service_, view, psi_kind_, scale);
-  const auto labels = relax_qrg(qrg);
-  result.sinks = sink_infos(qrg, labels);
-
-  std::size_t attempts_left = max_attempts;
-  for (std::size_t rank = 0;
-       rank < result.sinks.size() && attempts_left > 0; ++rank) {
-    if (!result.sinks[rank].reachable) continue;
-    const std::uint32_t sink_node = qrg.ranked_sink_nodes()[rank];
-    for (ReservationPlan& plan :
-         enumerate_plans(qrg, sink_node, attempts_left)) {
-      if (attempts_left == 0) break;
-      --attempts_left;
-      if (!result.plan) result.plan = plan;  // report the first choice
-      ++result.stats.dispatch_messages;
-      const ResourceVector total = plan.total_requirement();
-      std::vector<std::pair<ResourceId, double>> reserved;
-      bool ok = true;
-      for (const auto& [id, amount] : total) {
-        ++result.stats.reservations_attempted;
-        if (reserve_segment(id, now, session, amount)) {
-          reserved.push_back({id, amount});
-        } else {
-          result.outcome = EstablishOutcome::kAdmission;
-          result.failed_resource = id;
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        result.success = true;
-        result.outcome = EstablishOutcome::kOk;
-        result.plan = std::move(plan);  // what was actually reserved
-        result.holdings = std::move(reserved);
-        return result;
-      }
-      for (const auto& [id, amount] : reserved) {
-        registry_->broker(id).release_amount(now, session, amount);
-        ++result.stats.reservations_rolled_back;
-      }
-    }
-  }
-  if (!result.success && !result.plan && !down.empty()) {
-    result.outcome = EstablishOutcome::kBrokerUnavailable;
-    result.failed_resource = down.front();
-  }
-  return result;
-}
-
-void SessionCoordinator::teardown(
+std::vector<std::pair<ResourceId, double>> SessionCoordinator::teardown(
     const std::vector<std::pair<ResourceId, double>>& holdings,
     SessionId session, double now) {
-  // A release toward a down broker is undeliverable; the journal restores
-  // the holding at restart and reconciliation (or lease expiry) reclaims
-  // it there as an orphan. Typed mode routes each release through the
-  // service (deduped, deadline-checked); implicit mode keeps the legacy
-  // local release (teardown never was an RPC there).
-  for (const auto& [id, amount] : holdings) {
-    if (rpc_service_) {
-      dispatch_release(id, now, session, amount, nullptr);
-      continue;
-    }
-    if (!registry_->broker(id).up()) continue;
-    registry_->broker(id).release_amount(now, session, amount);
-  }
+  std::vector<std::pair<ResourceId, double>> undelivered;
+  for (const auto& [id, amount] : holdings)
+    if (!dispatch_release(id, now, session, amount, nullptr))
+      undelivered.push_back({id, amount});
+  return undelivered;
 }
 
 SessionCoordinator::ReconcileReport SessionCoordinator::reconcile_broker(
@@ -749,25 +660,23 @@ SessionCoordinator::ReconcileReport SessionCoordinator::reconcile_broker(
   report.resource = resource;
 
   // One re-sync RPC per claimant: its owner host re-asserts the holding
-  // to the broker's host, across the fault plane like any other control
-  // message. Without a transport the control plane is perfect.
+  // to the broker's host, across the transport like any other control
+  // message.
+  rpc::RpcChannel& rpc = channel();
   auto resync_rpc = [&](HostId from, SessionId session, double claimed) {
-    if (!channel_ || !from.valid() || !broker_host.valid() ||
-        from == broker_host)
+    if (!from.valid() || !broker_host.valid() || from == broker_host)
       return true;
-    if (rpc_service_) {
-      rpc::ReconcileRequest request;
-      request.header.session = session.value();
-      request.header.deadline = rpc_deadline(now);
-      request.resource = resource.value();
-      request.claimed = claimed;
-      const rpc::CallResult result =
-          channel_->call(from, broker_host, std::move(request), now);
-      return result.ok() &&
-             std::get<rpc::ReconcileReply>(result.reply).code ==
-                 rpc::RpcCode::kOk;
-    }
-    return channel_->ping(from, broker_host, now, rpc_deadline(now)).ok();
+    rpc::ReconcileRequest request;
+    request.header.session = session.value();
+    request.header.deadline = rpc_deadline(now);
+    request.resource = resource.value();
+    request.claimed = claimed;
+    const rpc::CallResult result =
+        rpc.call(from, broker_host, std::move(request), now);
+    const auto* reply =
+        result.ok() ? std::get_if<rpc::ReconcileReply>(&result.reply)
+                    : nullptr;
+    return reply != nullptr && reply->code == rpc::RpcCode::kOk;
   };
 
   // Aggregate claims per session (a session re-asserts once, with the

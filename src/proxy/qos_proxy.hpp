@@ -13,6 +13,11 @@
 // Phase 3 is all-or-nothing: if any reservation fails, everything already
 // reserved for the session is rolled back and establishment fails.
 //
+// Every phase-1 poll and phase-3 dispatch, rollback, teardown and re-sync
+// travels as a typed frame through an rpc::BrokerService (DESIGN.md §12):
+// the one attached with attach_rpc_service, or else a private lossless
+// in-process loopback the coordinator creates on first use.
+//
 // CoordinationStats counts the message rounds of §4.2 so the overhead
 // model can be examined by tests and benches.
 #pragma once
@@ -79,7 +84,7 @@ struct CoordinationStats {
 
 /// Why a session establishment ended the way it did. Separates hard
 /// rejections (no plan / admission) from control-plane faults
-/// (kUnreachable), which establish_with_recovery re-plans around, and
+/// (kUnreachable), which EstablishPolicy::max_replans re-plans around, and
 /// from overload fast-rejects (kOverload), which an admission governor
 /// issues before any planning or RPC work is spent.
 enum class EstablishOutcome : std::uint8_t {
@@ -120,6 +125,23 @@ struct EstablishResult {
   CoordinationStats stats;
 };
 
+/// How hard one establish() call tries before giving up. The default is
+/// the paper's single attempt: one snapshot, one plan, one dispatch.
+struct EstablishPolicy {
+  /// Plans dispatched in total when a plan's reservation is rejected
+  /// (kAdmission — possible only under stale observations): the planner's
+  /// choice first, then the next-cheapest feasible plans of the same, then
+  /// lower-ranked, end-to-end levels (enumerate_plans order). Values above
+  /// 1 require a chain service.
+  std::size_t fallback_attempts = 1;
+  /// Recovery rounds after a kUnreachable dispatch: every footprint
+  /// resource on the dead host is marked unavailable, and the session is
+  /// re-snapshotted and re-planned around it (at degraded QoS if the
+  /// planner must). Stats accumulate across rounds; stats.replans counts
+  /// the rounds taken.
+  int max_replans = 0;
+};
+
 /// The main-QoSProxy coordination logic for one distributed service.
 class SessionCoordinator {
  public:
@@ -132,27 +154,21 @@ class SessionCoordinator {
                      BrokerRegistry* registry,
                      PsiKind psi_kind = PsiKind::kRatio);
 
-  /// Routes every coordination RPC (phase-1 availability round trips,
-  /// phase-3 dispatches and rollback releases) through `transport`,
-  /// wrapped in an rpc::RpcChannel shim (request ids, per-peer stats,
-  /// optional circuit breaker and deadline — see rpc_channel() /
-  /// set_rpc_deadline). `main_host` is where this coordinator (the main
-  /// QoSProxy) runs; resources whose catalog host is invalid count as
-  /// main-local and need no RPC. Without a transport the control plane is
-  /// perfect, as before.
-  void attach_faults(IControlTransport* transport, HostId main_host);
-
-  /// Switches the coordinator to the *typed* control plane: phase-1
-  /// polls become versioned QueryRequest frames answered from the
-  /// brokers by `service`, and phase-3 dispatches / rollback releases /
-  /// teardowns become ReserveRequest / ReleaseRequest frames executed
-  /// through the service's bounded per-broker queues. `transport`
-  /// (optional) still decides reachability and retransmission cost per
-  /// call; `faults` (optional) injects frame-level corruption /
-  /// duplication / reordering; `config` tunes the shim's retry policy
-  /// and circuit breaker. With null transport/faults and the default
-  /// config the typed plane is bit-identical to the implicit one
-  /// (differential-tested in tests/fuzz/rpc_fuzz.cpp).
+  /// Routes the control plane through `service`: phase-1 polls become
+  /// versioned QueryRequest frames answered from the brokers, and phase-3
+  /// dispatches / rollback releases / teardowns / re-syncs become
+  /// Reserve/Release/ReconcileRequest frames executed through the
+  /// service's bounded per-broker queues, all via one rpc::RpcChannel
+  /// shim (request ids, per-peer stats, optional circuit breaker and
+  /// deadline — see rpc_channel() / set_rpc_deadline). `main_host` is
+  /// where this coordinator (the main QoSProxy) runs; resources whose
+  /// catalog host is invalid count as main-local and cross no transport.
+  /// `transport` (optional) decides reachability and retransmission cost
+  /// per call; `faults` (optional) injects frame-level corruption /
+  /// duplication / reordering; `config` tunes the shim's retry policy and
+  /// circuit breaker. Without this call the coordinator uses a private
+  /// lossless loopback: its own BrokerService over the registry, main
+  /// host = service().component(0).host(), created on first use.
   void attach_rpc_service(rpc::BrokerService* service, HostId main_host,
                           IControlTransport* transport = nullptr,
                           rpc::IFrameFaults* faults = nullptr,
@@ -160,7 +176,7 @@ class SessionCoordinator {
 
   /// Per-call deadline budget: every subsequent coordination RPC carries
   /// an absolute deadline of now + `budget` (propagated to the broker
-  /// service in typed mode, truncating retry trains in both modes).
+  /// service, truncating the transport's retry trains).
   /// Infinity (the default) disables deadlines.
   void set_rpc_deadline(double budget);
 
@@ -175,8 +191,8 @@ class SessionCoordinator {
   }
 
   /// The shim every coordination RPC goes through (null until
-  /// attach_faults / attach_rpc_service). Exposed for breaker
-  /// configuration and per-peer stats (`qresctl rpc`).
+  /// attach_rpc_service or the loopback's first use). Exposed for
+  /// per-peer stats (`qresctl rpc`).
   rpc::RpcChannel* rpc_channel() const noexcept { return channel_.get(); }
 
   /// Phase-3 reservations become leases of `lease_duration` time units:
@@ -202,17 +218,20 @@ class SessionCoordinator {
   /// `planner`. `scale` multiplies the service's base requirements (the
   /// paper's fat sessions). `staleness` (optional) maps each resource to
   /// how many time units old its observation is (§5.2.4); accurate when
-  /// null. `rng` feeds randomized planners only.
+  /// null. `rng` feeds randomized planners only. `policy` adds plan
+  /// fallback and self-healing replans (see EstablishPolicy); fallback
+  /// plans dispatch through the same typed path as the first.
   EstablishResult establish(SessionId session, double now,
                             const IPlanner& planner, Rng& rng,
                             double scale = 1.0,
                             const std::function<double(ResourceId)>&
-                                staleness = nullptr);
+                                staleness = nullptr,
+                            EstablishPolicy policy = {});
 
-  // --- Phase-split establishment (DESIGN.md §11). establish() is exactly
-  // snapshot_for_planning + plan_on_snapshot + commit_planned; batch
-  // admission (src/sim/batch_admission.*) composes the same three phases
-  // with the middle one fanned across a ThreadPool.
+  // --- Phase-split establishment (DESIGN.md §11). establish() with the
+  // default policy is exactly snapshot_for_planning + plan_on_snapshot +
+  // commit_planned; batch admission (src/sim/batch_admission.*) composes
+  // the same three phases with the middle one fanned across a ThreadPool.
 
   /// Everything phase 2 needs, captured sequentially. Snapshotting
   /// observes brokers (alpha history advances) and spends RPC rounds, so
@@ -251,31 +270,6 @@ class SessionCoordinator {
   EstablishResult commit_planned(SessionId session, double now,
                                  const PlanningSnapshot& snapshot,
                                  PlanResult planned);
-
-  /// Like establish() with the basic algorithm, but resilient to stale
-  /// observations: if the Psi-minimal plan's reservation is rejected
-  /// (possible only when `staleness` is non-null — with accurate
-  /// observations planning and reservation are atomic), the coordinator
-  /// falls back to the next-cheapest feasible plan for the same (then
-  /// lower-ranked) end-to-end level, attempting at most `max_attempts`
-  /// plans in total. Chain services only.
-  EstablishResult establish_resilient(
-      SessionId session, double now, std::size_t max_attempts, Rng& rng,
-      double scale = 1.0,
-      const std::function<double(ResourceId)>& staleness = nullptr);
-
-  /// Self-healing establishment: like establish(), but when the attempt
-  /// fails because a participating proxy was unreachable (kUnreachable —
-  /// a fault, not a rejection), the coordinator marks every footprint
-  /// resource on the dead host as unavailable, re-snapshots and re-plans
-  /// around it (at degraded QoS if the planner must), up to `max_replans`
-  /// additional rounds. Hard failures (kNoPlan / kAdmission) are returned
-  /// as-is. Stats accumulate across rounds; stats.replans counts the
-  /// recovery rounds taken.
-  EstablishResult establish_with_recovery(
-      SessionId session, double now, const IPlanner& planner, Rng& rng,
-      double scale = 1.0, int max_replans = 2,
-      const std::function<double(ResourceId)>& staleness = nullptr);
 
   /// Make-before-break renegotiation of a live session (the adaptation
   /// layer's primitive, see src/adapt). Re-plans against a fresh snapshot
@@ -317,12 +311,15 @@ class SessionCoordinator {
           void(const std::vector<std::pair<ResourceId, double>>&)>&
           on_commit = nullptr);
 
-  /// Releases every holding of a previously established session. Releases
-  /// toward a down broker cannot be delivered: the journal will restore
-  /// the holding at restart, where reconciliation reclaims it as an
-  /// orphan (or lease expiry does).
-  void teardown(const std::vector<std::pair<ResourceId, double>>& holdings,
-                SessionId session, double now);
+  /// Releases every holding of a previously established session (one
+  /// ReleaseRequest each) and returns the releases that could not be
+  /// delivered — an unreachable owner, or a down broker whose journal
+  /// restores the holding at restart. They stay held until lease expiry or
+  /// reconciliation reclaims them (or a later teardown retries them); the
+  /// caller accounts for them like EstablishResult::leaked.
+  std::vector<std::pair<ResourceId, double>> teardown(
+      const std::vector<std::pair<ResourceId, double>>& holdings,
+      SessionId session, double now);
 
   const ServiceDefinition& service() const noexcept { return *service_; }
 
@@ -364,10 +361,10 @@ class SessionCoordinator {
   };
 
   /// Re-sync protocol after `resource`'s broker restarted: every live
-  /// claimant re-asserts its holding (one RPC from its owner host to the
-  /// broker's host, subject to the attached fault plane), and divergences
-  /// between the claims and the journal-recovered broker state are
-  /// resolved toward the journal:
+  /// claimant re-asserts its holding (one ReconcileRequest from its owner
+  /// host to the broker's host, subject to the attached transport), and
+  /// divergences between the claims and the journal-recovered broker
+  /// state are resolved toward the journal:
   ///   * claim == recovered holding: confirmed; in lease mode the
   ///     re-assertion renews the lease;
   ///   * claim > recovered holding (crash lost the journal tail): the
@@ -386,80 +383,71 @@ class SessionCoordinator {
                                    const std::vector<ReconcileClaim>& claims);
 
  private:
-  /// How one phase-3 dispatch ended (typed analogue of the old
-  /// up()/rpc_to_owner()/reserve_segment() ladder).
-  enum class Dispatch : std::uint8_t {
-    kOk,
-    kAdmission,    ///< the broker rejected the amount
-    kUnreachable,  ///< the owner proxy (or its reply) never got through
-    kBrokerDown,   ///< the broker process is down
-  };
+  /// The attached channel, or the loopback's (created here on first use).
+  rpc::RpcChannel& channel();
 
-  /// Phase-1 snapshot tolerant of broker outages: down footprint
+  /// Phase 1: polls every remote participating proxy once (one
+  /// QueryRequest per owner host) and observes main-local resources
+  /// directly, so each broker is observed exactly once. Down footprint
   /// resources are reported at zero availability (the planner routes
-  /// around them) and appended to `down`. Never observes a down broker.
-  /// Resources present in `sampled` (typed-mode query replies) use the
-  /// remote sample instead of a local observation, so each broker is
-  /// observed exactly once per snapshot in either mode.
-  AvailabilityView collect_footprint(
-      double now, const std::function<double(ResourceId)>& staleness,
-      std::vector<ResourceId>* down,
-      const FlatMap<ResourceId, rpc::QuerySample>& sampled = {}) const;
+  /// around them) and appended to snapshot->down in footprint order;
+  /// resources of unreachable owners, and `dead` ones, are pinned at zero.
+  void observe_footprint(double now,
+                         const std::function<double(ResourceId)>& staleness,
+                         const std::vector<ResourceId>& dead,
+                         PlanningSnapshot* snapshot);
 
-  /// establish() with an explicit set of resources to treat as dead
-  /// (observed at zero availability regardless of their brokers).
-  EstablishResult establish_impl(
+  /// One snapshot + plan + dispatch round of establish(), dispatching up
+  /// to `fallback_attempts` plans; `dead` resources are pinned at zero.
+  EstablishResult establish_round(
       SessionId session, double now, const IPlanner& planner, Rng& rng,
       double scale, const std::function<double(ResourceId)>& staleness,
-      const std::vector<ResourceId>& dead);
+      const std::vector<ResourceId>& dead, std::size_t fallback_attempts);
 
-  /// One phase-3 reservation through the local broker, leased when lease
-  /// mode is on.
-  bool reserve_segment(ResourceId id, double now, SessionId session,
-                       double amount);
+  /// All-or-nothing phase-3 dispatch of `amounts`: on success the
+  /// reserved pairs land in `reserved`; on the first failed dispatch
+  /// result->outcome / failed_resource are typed, everything reserved so
+  /// far is rolled back (undeliverable releases land in result->leaked)
+  /// and false is returned.
+  bool reserve_all(const ResourceVector& amounts, SessionId session,
+                   double now, EstablishResult* result,
+                   std::vector<std::pair<ResourceId, double>>* reserved);
 
-  /// Phase-1 RPC round: polls every remote participating proxy once
-  /// (implicit mode: one ping; typed mode: one QueryRequest whose
-  /// samples land in `sampled`). Resources of unreachable owners are
-  /// appended to `unavailable`; `stats` accumulates retransmissions /
-  /// unreachable counts.
-  void poll_participants(double now,
-                         const std::function<double(ResourceId)>& staleness,
-                         CoordinationStats* stats,
-                         std::vector<ResourceId>* unavailable,
-                         FlatMap<ResourceId, rpc::QuerySample>* sampled);
+  /// One ReserveRequest for `amount` of `id`: kOk, kAdmission (the broker
+  /// refused), kBrokerUnavailable (the broker is down) or kUnreachable
+  /// (the owner, or its reply, never got through).
+  EstablishOutcome dispatch_reserve(ResourceId id, double now,
+                                    SessionId session, double amount,
+                                    CoordinationStats* stats);
 
-  /// One control RPC to the proxy owning `id` (a no-op returning true
-  /// without a channel or for main-local resources). False = the owner
-  /// was unreachable; `stats` accumulates the RPC accounting.
-  bool rpc_to_owner(ResourceId id, double now, CoordinationStats* stats);
-
-  /// One phase-3 reservation dispatch: RPC to the owner plus the broker
-  /// reservation — implicit mode runs them as two steps, typed mode as
-  /// one ReserveRequest through the service queue.
-  Dispatch dispatch_reserve(ResourceId id, double now, SessionId session,
-                            double amount, CoordinationStats* stats);
-
-  /// One release dispatch (rollback, excess release, teardown). False =
-  /// the release could not be delivered (the holding leaks to lease
-  /// expiry / reconciliation).
+  /// One ReleaseRequest (rollback, excess release, teardown). False = the
+  /// release could not be delivered (the holding leaks to lease expiry /
+  /// reconciliation). `stats` may be null.
   bool dispatch_release(ResourceId id, double now, SessionId session,
                         double amount, CoordinationStats* stats);
+
+  /// Counts one routed call's transport cost into `stats` (may be null);
+  /// false when the call never produced a usable reply — including a
+  /// redirect chain that did not converge, whose hint the directory
+  /// learns so the next attempt routes to the new primary.
+  bool routed_ok(ResourceId id, const rpc::RoutedResult& routed,
+                 CoordinationStats* stats);
 
   /// The absolute deadline for an RPC issued at `now`.
   double rpc_deadline(double now) const;
 
-  /// Typed-mode routing for `id`: the replication directory's primary
-  /// (writing its epoch into *epoch) when one is known, else the catalog
-  /// owner, else the main host.
+  /// Routing for `id`: the replication directory's primary (writing its
+  /// epoch into *epoch) when one is known, else the catalog owner, else
+  /// the main host.
   HostId route_for(ResourceId id, std::uint64_t* epoch) const;
 
   const ServiceDefinition* service_;
   std::vector<ResourceId> footprint_;
   BrokerRegistry* registry_;
   PsiKind psi_kind_;
+  std::size_t participating_proxies_ = 1;  ///< distinct component hosts
+  std::unique_ptr<rpc::BrokerService> loopback_;  ///< when none attached
   std::unique_ptr<rpc::RpcChannel> channel_;
-  rpc::BrokerService* rpc_service_ = nullptr;  ///< non-null in typed mode
   HostId main_host_;
   double rpc_deadline_budget_ = rpc::RpcChannel::kNoDeadline;
   double lease_ = 0.0;  ///< 0 = permanent reservations

@@ -100,7 +100,9 @@ RpcChannel::RpcChannel(IControlTransport* transport, IFrameServer* server,
     : transport_(transport),
       server_(server),
       faults_(faults),
-      config_(config) {
+      config_(config),
+      next_request_id_(
+          (server != nullptr ? server->claim_request_id_base() : 0) + 1) {
   QRES_REQUIRE(config.policy.max_attempts >= 1,
                "RpcChannel: malformed retry policy");
   QRES_REQUIRE(config.breaker.failure_threshold >= 0 &&
@@ -161,13 +163,11 @@ ExchangeResult RpcChannel::transport_leg(HostId from, HostId to, double now,
   // existed either.
   if (transport_ == nullptr || from == to) return {ExchangeStatus::kOk, 0};
   if (std::isinf(deadline) && deadline > 0.0)
-    // No deadline: the transport's own policy applies, exactly like the
-    // legacy direct exchange (same draws, same result).
-    return transport_->exchange(from, to, now);
-  const double budget = deadline - now;
+    // No deadline: the transport's own policy applies.
+    return transport_->exchange(from, to, now, nullptr);
   const RetryPolicy policy =
-      truncate_to_budget(config_.policy, budget, truncated);
-  return transport_->exchange_budgeted(from, to, now, policy);
+      truncate_to_budget(config_.policy, deadline - now, truncated);
+  return transport_->exchange(from, to, now, &policy);
 }
 
 ExchangeResult RpcChannel::ping(HostId from, HostId to, double now,

@@ -5,9 +5,10 @@
 // The channel wraps the raw reliable-exchange primitive with:
 //
 //   * request ids — a deterministic per-channel counter stamped into
-//     every typed request; the at-least-once retry loop re-sends under
-//     the SAME id, and the BrokerService dedup cache makes redelivery
-//     idempotent;
+//     every typed request, counting up inside the id range the channel
+//     claimed from its server (so channels sharing a server never
+//     collide); the at-least-once retry loop re-sends under the SAME id,
+//     and the BrokerService dedup cache makes redelivery idempotent;
 //   * deadline propagation — a request carries an absolute deadline; the
 //     channel fast-fails when the budget is already spent, truncates the
 //     transport retry train so its worst-case waits fit the remaining
@@ -25,10 +26,10 @@
 //   * per-peer stats — calls, retries, timeouts, bytes on the wire,
 //     breaker trips and state (dumped by `qresctl rpc`).
 //
-// Two call styles: ping() is the legacy implicit exchange (no payload,
-// no server) used by the coordinator/distributed protocols in implicit
-// mode; call() is the typed path — encode, frame faults, server, strict
-// decode — used in typed mode and by the rpc fuzz differential.
+// Two call styles: ping() is the payload-less liveness probe (no server)
+// used by DistributedSession's passes and the FailoverCoordinator's
+// heartbeats; call() is the typed path — encode, frame faults, server,
+// strict decode — that carries every SessionCoordinator round.
 #pragma once
 
 #include <cstdint>
@@ -104,23 +105,22 @@ class RpcChannel {
  public:
   struct Config {
     /// Frame-round retry budget for call(); also the nominal policy whose
-    /// waits the deadline truncation reasons about. ping() does NOT use
-    /// it (the transport's own policy applies, exactly like the legacy
-    /// direct exchange).
+    /// waits the deadline truncation reasons about. ping() without a
+    /// deadline does NOT use it (the transport's own policy applies).
     RetryPolicy policy;
     BreakerConfig breaker;
   };
 
-  /// Any of the three collaborators may be null: no transport = perfect
+  /// Any of the three collaborators may be null: no transport = lossless
   /// control plane (exchanges succeed without drawing anything), no
-  /// server = implicit mode only (ping), no faults = clean frames.
+  /// server = ping only, no faults = clean frames. A channel with a server
+  /// claims its request-id range from it here.
   RpcChannel(IControlTransport* transport, IFrameServer* server,
              IFrameFaults* faults, Config config = {});
 
-  /// Legacy implicit exchange between two proxy hosts: breaker gate,
-  /// transport exchange under the TRANSPORT's own retry policy, stats.
-  /// With an infinite deadline this is bit-identical to calling
-  /// IControlTransport::exchange directly.
+  /// Payload-less liveness probe between two hosts: breaker gate,
+  /// transport exchange (under the TRANSPORT's own retry policy when the
+  /// deadline is infinite), stats.
   ExchangeResult ping(HostId from, HostId to, double now,
                       double deadline = kNoDeadline);
 
@@ -184,7 +184,7 @@ class RpcChannel {
   IFrameServer* server_;
   IFrameFaults* faults_;
   Config config_;
-  std::uint64_t next_request_id_ = 1;
+  std::uint64_t next_request_id_;  ///< from the server's claimed range
   FlatMap<HostId, Breaker> breakers_;
   FlatMap<HostId, PeerStats> stats_;
 };

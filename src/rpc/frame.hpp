@@ -10,6 +10,7 @@
 // verbatim, preserving the zero-fault bit-identity contract.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -59,11 +60,26 @@ class IFrameServer {
  public:
   virtual ~IFrameServer() = default;
 
+  /// Bits of request-id space each client channel owns on one server.
+  static constexpr int kRequestIdRangeBits = 40;
+
+  /// Claims a fresh request-id range for one client channel: the k-th
+  /// claim (0-based) returns k << kRequestIdRangeBits, so the first
+  /// channel on a server stamps 1, 2, 3, ... and channels sharing a server
+  /// never collide in its dedup cache, which stays keyed by the plain id.
+  std::uint64_t claim_request_id_base() noexcept {
+    return next_range_.fetch_add(1, std::memory_order_relaxed)
+           << kRequestIdRangeBits;
+  }
+
   /// Handles one received frame at simulation time `now`, appending any
   /// reply frames to `replies`.
   virtual void handle_frame(
       const std::vector<std::uint8_t>& frame, double now,
       std::vector<std::vector<std::uint8_t>>* replies) = 0;
+
+ private:
+  std::atomic<std::uint64_t> next_range_{0};
 };
 
 }  // namespace qres::rpc

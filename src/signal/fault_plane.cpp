@@ -180,14 +180,9 @@ void FaultPlane::set_rpc_policy(const RetryPolicy& policy) {
   rpc_policy_ = policy;
 }
 
-ExchangeResult FaultPlane::exchange(HostId from, HostId to, double now) {
-  return try_message(from, to, now, rpc_policy_);
-}
-
-ExchangeResult FaultPlane::exchange_budgeted(HostId from, HostId to,
-                                             double now,
-                                             const RetryPolicy& policy) {
-  return try_message(from, to, now, policy);
+ExchangeResult FaultPlane::exchange(HostId from, HostId to, double now,
+                                    const RetryPolicy* budget) {
+  return try_message(from, to, now, budget != nullptr ? *budget : rpc_policy_);
 }
 
 bool FaultPlane::reachable(HostId host, double t) const {

@@ -145,9 +145,8 @@ class FaultPlane : public IControlTransport, public rpc::IFrameFaults {
 
   // IControlTransport — lets the proxy-layer protocols cross the plane
   // without qres_proxy depending on qres_sim.
-  ExchangeResult exchange(HostId from, HostId to, double now) override;
-  ExchangeResult exchange_budgeted(HostId from, HostId to, double now,
-                                   const RetryPolicy& policy) override;
+  ExchangeResult exchange(HostId from, HostId to, double now,
+                          const RetryPolicy* budget) override;
   bool reachable(HostId host, double t) const override;
 
   /// Frame-level fault distribution for the typed RPC control plane.

@@ -311,7 +311,8 @@ struct ScriptedTransport final : public IControlTransport {
   std::function<bool(HostId, HostId)> deny;
   int calls = 0;
 
-  ExchangeResult exchange(HostId from, HostId to, double /*now*/) override {
+  ExchangeResult exchange(HostId from, HostId to, double /*now*/,
+                          const RetryPolicy* /*budget*/) override {
     ++calls;
     if (down.count(to.value()) > 0) return {ExchangeStatus::kPeerDown, 0};
     if (deny && deny(from, to)) return {ExchangeStatus::kTimeout, 0};
@@ -332,6 +333,7 @@ struct FaultedFixture {
       registry.add_resource("cpu2", ResourceKind::kCpu, HostId{2}, 100.0);
   ServiceDefinition service = make_service();
   SessionCoordinator coordinator{&service, {cpu1, cpu2}, &registry};
+  rpc::BrokerService broker_service{&registry};
   ScriptedTransport transport;
   ContentionMonitor monitor = make_monitor();
   BasicPlanner admit_planner;
@@ -355,7 +357,8 @@ struct FaultedFixture {
 
 TEST(AdaptationEngineFaults, AbortedDowngradeKeepsTheSessionWhole) {
   FaultedFixture f;
-  f.coordinator.attach_faults(&f.transport, HostId{0});
+  f.coordinator.attach_rpc_service(&f.broker_service, HostId{0},
+                                  &f.transport);
   AdaptationEngine engine(&f.coordinator, &f.monitor, &f.admit_planner,
                           &f.degrade_planner);
   engine.set_auditor(&f.auditor);
@@ -403,7 +406,7 @@ TEST(AdaptationEngineFaults, StrandedAdmissionRollbackIsTrackedAsZombie) {
   // off before the rollback release can be delivered — the classic
   // partial-failure leak. The engine must book the stranded reservation
   // as a zombie so the auditor still balances, and release_zombies()
-  // (modelling lease expiry) must settle it.
+  // (modelling lease expiry) must settle it once host 1 is back.
   BrokerRegistry registry;
   const ResourceId a =
       registry.add_resource("a", ResourceKind::kCpu, HostId{1}, 100.0);
@@ -414,8 +417,9 @@ TEST(AdaptationEngineFaults, StrandedAdmissionRollbackIsTrackedAsZombie) {
   t1.set(0, 0, rv({{b, 30.0}}));
   ServiceDefinition service = test::make_chain({{1, t0}, {1, t1}});
   SessionCoordinator coordinator(&service, {a, b}, &registry);
+  rpc::BrokerService broker_service(&registry);
   ScriptedTransport transport;
-  coordinator.attach_faults(&transport, HostId{0});
+  coordinator.attach_rpc_service(&broker_service, HostId{0}, &transport);
   ContentionMonitor monitor(&registry, {a, b});
   BasicPlanner admit_planner;
   TradeoffPlanner degrade_planner;
@@ -444,7 +448,15 @@ TEST(AdaptationEngineFaults, StrandedAdmissionRollbackIsTrackedAsZombie) {
   EXPECT_EQ(registry.broker(a).held_by(SessionId{1}), 20.0);
   EXPECT_TRUE(auditor.audit_hosts().empty());  // model expects the zombie
 
-  // Explicit cleanup (modelling lease expiry) settles the books.
+  // The cleanup release is an RPC too: while host 1 stays unreachable it
+  // cannot be delivered, and the zombie stays booked.
+  EXPECT_EQ(engine.release_zombies(2.5), 0u);
+  ASSERT_EQ(engine.zombies().size(), 1u);
+  EXPECT_TRUE(auditor.audit_hosts().empty());
+
+  // Once the control plane heals, explicit cleanup (modelling lease
+  // expiry) settles the books.
+  transport.deny = nullptr;
   EXPECT_EQ(engine.release_zombies(3.0), 1u);
   EXPECT_TRUE(engine.zombies().empty());
   EXPECT_TRUE(auditor.model_empty());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <ostream>
 
 #include "core/planner.hpp"
 #include "util/rng.hpp"
@@ -121,6 +122,12 @@ struct BadCase {
   const char* name;
   const char* text;
 };
+
+// Without this gtest prints the struct's raw bytes, pointers included, so
+// the discovered ctest names would change with every address-space layout.
+void PrintTo(const BadCase& bad_case, std::ostream* os) {
+  *os << bad_case.name;
+}
 
 class ModelIoErrors : public ::testing::TestWithParam<BadCase> {};
 

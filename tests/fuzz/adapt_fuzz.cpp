@@ -12,6 +12,7 @@
 #include "broker/registry.hpp"
 #include "core/planner.hpp"
 #include "proxy/qos_proxy.hpp"
+#include "rpc/broker_service.hpp"
 #include "broker/auditor.hpp"
 #include "core/event_queue.hpp"
 #include "signal/fault_plane.hpp"
@@ -203,9 +204,10 @@ struct FloorCheckTransport final : public IControlTransport {
   std::vector<std::string>* violations = nullptr;
   std::uint64_t checks = 0;
 
-  ExchangeResult exchange(HostId from, HostId to, double now) override {
+  ExchangeResult exchange(HostId from, HostId to, double now,
+                          const RetryPolicy* budget) override {
     audit_floors(now);
-    return inner->exchange(from, to, now);
+    return inner->exchange(from, to, now, budget);
   }
   bool reachable(HostId host, double t) const override {
     return inner->reachable(host, t);
@@ -255,9 +257,10 @@ std::string adaptive_faulted(Rng& rng, AdaptFuzzStats* stats) {
   transport.registry = &world.registry;
   transport.violations = &violations;
 
+  rpc::BrokerService service(&world.registry);
   SessionCoordinator coordinator(world.service.get(), world.resources,
                                  &world.registry);
-  coordinator.attach_faults(&transport, world.main_host);
+  coordinator.attach_rpc_service(&service, world.main_host, &transport);
 
   adapt::MonitorConfig monitor_config;
   monitor_config.ewma_halflife = rng.uniform(0.5, 4.0);
@@ -352,7 +355,13 @@ std::string adaptive_faulted(Rng& rng, AdaptFuzzStats* stats) {
     engine.depart(session, t);
     if (stats) ++stats->departures;
   }
-  const std::size_t reclaimed = engine.release_zombies(t);
+  // Teardown and cleanup releases are RPCs too: retry the stranded ones
+  // (after any crash window has closed) until every one got through.
+  std::size_t reclaimed = engine.release_zombies(t);
+  for (int retry = 0; retry < 100 && !engine.zombies().empty(); ++retry) {
+    t += 1.0;
+    reclaimed += engine.release_zombies(t);
+  }
 
   audit("final");
   if (!auditor.model_empty() && violations.size() < 8)

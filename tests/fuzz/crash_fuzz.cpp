@@ -12,6 +12,7 @@
 #include "broker/resource_broker.hpp"
 #include "core/planner.hpp"
 #include "proxy/qos_proxy.hpp"
+#include "rpc/broker_service.hpp"
 #include "broker/auditor.hpp"
 #include "sim/broker_supervisor.hpp"
 #include "core/event_queue.hpp"
@@ -250,16 +251,32 @@ std::string crashed_world(Rng& rng, CrashFuzzStats* stats) {
   LeaseKeeper keeper(&queue, &world.registry, lease_config);
   keeper.attach_faults(&plane);
   ReservationAuditor auditor(&world.registry);
+  rpc::BrokerService service(&world.registry);
   SessionCoordinator coordinator(world.service.get(), world.resources,
                                  &world.registry);
-  coordinator.attach_faults(&plane, world.main_host);
+  coordinator.attach_rpc_service(&service, world.main_host, &plane);
   coordinator.enable_leases(lease_config.lease);
   BasicPlanner planner;
   Rng planner_rng(rng());
+  EstablishPolicy policy;
+  policy.max_replans = 2;
 
   // Holdings of currently-established sessions (by session id value).
   std::map<std::uint32_t, std::vector<std::pair<ResourceId, double>>> live;
   std::vector<std::string> violations;
+
+  // A teardown release that was not delivered (lost RPC, or a down broker
+  // whose journal resurrects the holding) stays in the model until lease
+  // expiry or post-restart reconciliation settles it.
+  const auto teardown = [&](SessionId session, const auto& holdings) {
+    keeper.forget(session);
+    const auto undelivered =
+        coordinator.teardown(holdings, session, queue.now());
+    for (const auto& [id, amount] : holdings)
+      auditor.on_released(session, id, amount);
+    for (const auto& [id, amount] : undelivered)
+      auditor.on_reserved(session, id, amount);
+  };
 
   keeper.set_expiry_listener([&](SessionId gone) {
     auto it = live.find(gone.value());
@@ -402,9 +419,8 @@ std::string crashed_world(Rng& rng, CrashFuzzStats* stats) {
     const double at = rng.uniform(0.0, 40.0);
     const double scale = rng.uniform(0.7, 1.6);
     queue.schedule(at, [&, session, scale] {
-      const EstablishResult r = coordinator.establish_with_recovery(
-          session, queue.now(), planner, planner_rng, scale,
-          /*max_replans=*/2);
+      const EstablishResult r = coordinator.establish(
+          session, queue.now(), planner, planner_rng, scale, nullptr, policy);
       if (stats) {
         ++stats->sessions;
         stats->leaked_rollbacks += r.leaked.size();
@@ -427,10 +443,7 @@ std::string crashed_world(Rng& rng, CrashFuzzStats* stats) {
       queue.schedule(at + rng.uniform(3.0, 20.0), [&, session] {
         auto it = live.find(session.value());
         if (it == live.end()) return;  // expired or never established
-        keeper.forget(session);
-        coordinator.teardown(it->second, session, queue.now());
-        for (const auto& [id, amount] : it->second)
-          auditor.on_released(session, id, amount);
+        teardown(session, it->second);
         live.erase(it);
       });
     }
@@ -446,13 +459,7 @@ std::string crashed_world(Rng& rng, CrashFuzzStats* stats) {
   }
 
   queue.run_until(55.0);
-  for (auto& [value, holdings] : live) {
-    const SessionId session{value};
-    keeper.forget(session);
-    coordinator.teardown(holdings, session, queue.now());
-    for (const auto& [id, amount] : holdings)
-      auditor.on_released(session, id, amount);
-  }
+  for (auto& [value, holdings] : live) teardown(SessionId{value}, holdings);
   live.clear();
   queue.run_all();
   reconcile_expired(queue.now() + lease_config.lease +

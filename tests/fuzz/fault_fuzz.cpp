@@ -11,6 +11,7 @@
 #include "broker/registry.hpp"
 #include "core/planner.hpp"
 #include "proxy/qos_proxy.hpp"
+#include "rpc/broker_service.hpp"
 #include "signal/rsvp.hpp"
 #include "broker/auditor.hpp"
 #include "core/event_queue.hpp"
@@ -259,16 +260,23 @@ std::string coordinator_differential(Rng& rng) {
     make_coord_world(gen, world_b);
   }
 
+  // `plain` runs on its private loopback; `faulted` on an explicitly
+  // attached BrokerService whose transport and frame hook are an inert
+  // FaultPlane (main host = component 0's host in both).
   EventQueue queue;
   FaultPlane inert(&queue, plane_seed, FaultConfig{});
   SessionCoordinator plain(world_a.service.get(), world_a.resources,
                            &world_a.registry);
+  rpc::BrokerService service(&world_b.registry);
   SessionCoordinator faulted(world_b.service.get(), world_b.resources,
                              &world_b.registry);
-  faulted.attach_faults(&inert, world_b.main_host);
+  faulted.attach_rpc_service(&service, world_b.main_host, &inert, &inert);
 
   BasicPlanner planner;
   Rng rng_a(planner_seed), rng_b(planner_seed);
+  std::vector<std::pair<SessionId,
+                        std::vector<std::pair<ResourceId, double>>>>
+      held;
   for (std::uint32_t s = 1; s <= 6; ++s) {
     const double now = static_cast<double>(s);
     const double scale = 0.8 + 0.2 * static_cast<double>(s % 3);
@@ -292,7 +300,25 @@ std::string coordinator_differential(Rng& rng) {
     if (a.holdings != b.holdings)
       return "coordinator differential: session " + std::to_string(s) +
              " holdings diverged";
+    if (a.stats.participating_proxies != b.stats.participating_proxies ||
+        a.stats.availability_messages != b.stats.availability_messages ||
+        a.stats.dispatch_messages != b.stats.dispatch_messages ||
+        a.stats.reservations_attempted != b.stats.reservations_attempted ||
+        a.stats.unreachable_proxies != b.stats.unreachable_proxies ||
+        a.stats.retransmissions != b.stats.retransmissions)
+      return "coordinator differential: session " + std::to_string(s) +
+             " rpc accounting diverged";
+    if (a.success) held.push_back({SessionId{s}, a.holdings});
   }
+  // Tear half of the established sessions down on both planes.
+  for (std::size_t i = 0; i < held.size(); i += 2)
+    if (!plain.teardown(held[i].second, held[i].first, 10.0).empty() ||
+        !faulted.teardown(held[i].second, held[i].first, 10.0).empty())
+      return "coordinator differential: lossless teardown lost a release";
+  if (inert.frame_totals().corrupted != 0 ||
+      inert.frame_totals().duplicated != 0 ||
+      inert.frame_totals().held_back != 0)
+    return "coordinator differential: inert plane faulted a frame";
   for (std::size_t r = 0; r < world_a.resources.size(); ++r) {
     const double avail_a =
         world_a.registry.broker(world_a.resources[r]).available();
@@ -429,16 +455,32 @@ std::string coordinator_faulted(Rng& rng, FaultFuzzStats* stats) {
   LeaseKeeper keeper(&queue, &world.registry, lease_config);
   keeper.attach_faults(&plane);
   ReservationAuditor auditor(&world.registry);
+  rpc::BrokerService service(&world.registry);
   SessionCoordinator coordinator(world.service.get(), world.resources,
                                  &world.registry);
-  coordinator.attach_faults(&plane, world.main_host);
+  coordinator.attach_rpc_service(&service, world.main_host, &plane);
   coordinator.enable_leases(lease_config.lease);
   BasicPlanner planner;
   Rng planner_rng(rng());
+  EstablishPolicy policy;
+  policy.max_replans = 2;
 
   // Holdings of currently-established sessions (by session id value).
   std::map<std::uint32_t, std::vector<std::pair<ResourceId, double>>> live;
   std::vector<std::string> violations;
+
+  // A teardown release the plane ate stays held (leased) on its broker
+  // until expiry, so the model keeps it until the expiry is observed.
+  const auto teardown = [&](SessionId session, const auto& holdings) {
+    keeper.forget(session);
+    const auto undelivered =
+        coordinator.teardown(holdings, session, queue.now());
+    for (const auto& [id, amount] : holdings)
+      auditor.on_released(session, id, amount);
+    for (const auto& [id, amount] : undelivered)
+      auditor.on_reserved(session, id, amount);
+    if (stats) stats->leaked_rollbacks += undelivered.size();
+  };
 
   keeper.set_expiry_listener([&](SessionId gone) {
     // The keeper released (or watched expire) everything it managed for
@@ -476,9 +518,8 @@ std::string coordinator_faulted(Rng& rng, FaultFuzzStats* stats) {
     const double at = rng.uniform(0.0, 40.0);
     const double scale = rng.uniform(0.7, 1.6);
     queue.schedule(at, [&, session, scale] {
-      const EstablishResult r = coordinator.establish_with_recovery(
-          session, queue.now(), planner, planner_rng, scale,
-          /*max_replans=*/2);
+      const EstablishResult r = coordinator.establish(
+          session, queue.now(), planner, planner_rng, scale, nullptr, policy);
       if (stats) {
         ++stats->sessions;
         stats->replans += r.stats.replans;
@@ -500,10 +541,7 @@ std::string coordinator_faulted(Rng& rng, FaultFuzzStats* stats) {
       queue.schedule(at + rng.uniform(3.0, 20.0), [&, session] {
         auto it = live.find(session.value());
         if (it == live.end()) return;  // expired or never established
-        keeper.forget(session);
-        coordinator.teardown(it->second, session, queue.now());
-        for (const auto& [id, amount] : it->second)
-          auditor.on_released(session, id, amount);
+        teardown(session, it->second);
         live.erase(it);
       });
     }
@@ -521,13 +559,7 @@ std::string coordinator_faulted(Rng& rng, FaultFuzzStats* stats) {
   queue.run_until(50.0);
   // Tear down everything still alive, then let the renewal/expiry events
   // drain and push past the last possible lease deadline.
-  for (auto& [value, holdings] : live) {
-    const SessionId session{value};
-    keeper.forget(session);
-    coordinator.teardown(holdings, session, queue.now());
-    for (const auto& [id, amount] : holdings)
-      auditor.on_released(session, id, amount);
-  }
+  for (auto& [value, holdings] : live) teardown(SessionId{value}, holdings);
   live.clear();
   queue.run_all();
   reconcile(queue.now() + lease_config.lease + 1.0);

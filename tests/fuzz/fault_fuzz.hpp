@@ -7,18 +7,21 @@
 // single seed and drives the fault-tolerant protocols through it:
 //
 //   * zero-fault differential: with every fault probability zero and no
-//     scripted windows, RSVP signaling and coordinator establishment must
-//     behave *identically* to running without a FaultPlane (statuses,
-//     completion times, holdings, link state — exact equality);
+//     scripted windows, RSVP signaling must behave *identically* to
+//     running without a FaultPlane, and a coordinator attached to a
+//     BrokerService over the inert plane identically to one on its
+//     private loopback (statuses, completion times, holdings, RPC
+//     accounting, teardowns, link state — exact equality);
 //   * faulted RSVP runs: random flows signaled across a random topology
 //     under random faults, with the ReservationAuditor as the oracle
 //     (hop-level model vs. actual link state, mid-run and at the end) and
 //     an end-of-run conservation proof (zero leaked bandwidth);
 //   * faulted coordinator runs: leased establishments with recovery
-//     (establish_with_recovery) under RPC loss and proxy crashes, renewed
-//     by a LeaseKeeper; the auditor proves broker accounting matches the
-//     model at every audit point, and that after the final lease horizon
-//     not one unit of capacity is leaked — lost rollbacks included.
+//     (EstablishPolicy::max_replans) under RPC loss and proxy crashes,
+//     renewed by a LeaseKeeper; the auditor proves broker accounting
+//     matches the model at every audit point, and that after the final
+//     lease horizon not one unit of capacity is leaked — lost rollback
+//     and teardown releases included.
 //
 // Like fuzz_lib, this library is test-framework-free: it links into the
 // qres_fuzz driver (tools/qres_fuzz --mode faults) for long sanitizer
@@ -40,7 +43,7 @@ struct FaultFuzzStats {
   std::uint64_t sessions_established = 0;
   std::uint64_t replans = 0;          ///< recovery re-plan rounds taken
   std::uint64_t leases_expired = 0;   ///< sessions reclaimed by expiry
-  std::uint64_t leaked_rollbacks = 0; ///< rollback releases lost to faults
+  std::uint64_t leaked_rollbacks = 0; ///< rollback/teardown releases lost
   std::uint64_t messages = 0;         ///< logical messages planned
   std::uint64_t transmissions = 0;    ///< individual attempts
   std::uint64_t drops = 0;            ///< attempts lost

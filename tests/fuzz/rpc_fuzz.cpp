@@ -3,15 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "broker/registry.hpp"
 #include "core/event_queue.hpp"
-#include "core/planner.hpp"
-#include "proxy/qos_proxy.hpp"
 #include "rpc/broker_service.hpp"
 #include "rpc/channel.hpp"
 #include "rpc/wire.hpp"
@@ -177,160 +174,6 @@ std::string codec_roundtrip(Rng& rng, RpcFuzzStats* stats) {
              rpc::to_string(trailing.status) + ")";
     ++stats->truncations_rejected;
   }
-  return "";
-}
-
-// ---------------------------------------------------------------------------
-// Random coordinator worlds (the same shape fault_fuzz uses): a hosted
-// chain service over one leaf resource per component.
-
-QoSVector q(double value) {
-  static const QoSSchema schema({"level"});
-  return QoSVector(schema, {value});
-}
-
-std::vector<QoSVector> levels(int count) {
-  std::vector<QoSVector> result;
-  for (int i = 0; i < count; ++i)
-    result.push_back(q(static_cast<double>(count - i)));
-  return result;
-}
-
-struct RpcWorld {
-  BrokerRegistry registry;
-  std::vector<ResourceId> resources;  // one per component, same index
-  std::unique_ptr<ServiceDefinition> service;
-  HostId main_host;
-};
-
-void make_rpc_world(Rng& rng, RpcWorld& world) {
-  const int k = rng.uniform_int(2, 4);
-  std::vector<int> out_count(static_cast<std::size_t>(k));
-  for (int c = 0; c < k; ++c)
-    out_count[static_cast<std::size_t>(c)] = rng.uniform_int(2, 3);
-
-  std::vector<ServiceComponent> components;
-  std::vector<std::pair<ComponentIndex, ComponentIndex>> edges;
-  for (int c = 0; c < k; ++c) {
-    const HostId host{static_cast<std::uint32_t>(c)};
-    world.resources.push_back(world.registry.add_resource(
-        "r" + std::to_string(c), ResourceKind::kCpu, host,
-        rng.uniform(80.0, 160.0)));
-    const std::size_t in_count =
-        c == 0 ? 1
-               : static_cast<std::size_t>(
-                     out_count[static_cast<std::size_t>(c - 1)]);
-    TranslationTable table;
-    for (std::size_t in = 0; in < in_count; ++in)
-      for (int out = 0; out < out_count[static_cast<std::size_t>(c)]; ++out) {
-        const double amount = rng.bernoulli(0.15) ? rng.uniform(60.0, 140.0)
-                                                  : rng.uniform(8.0, 45.0);
-        ResourceVector req;
-        req.set(world.resources.back(), amount);
-        table.set(static_cast<LevelIndex>(in), static_cast<LevelIndex>(out),
-                  req);
-      }
-    components.emplace_back("c" + std::to_string(c),
-                            levels(out_count[static_cast<std::size_t>(c)]),
-                            table.as_function(), host);
-    if (c > 0)
-      edges.push_back({static_cast<ComponentIndex>(c - 1),
-                       static_cast<ComponentIndex>(c)});
-  }
-  world.service = std::make_unique<ServiceDefinition>(
-      "rpc_chain", std::move(components), std::move(edges), q(10));
-  world.main_host = HostId{0};
-}
-
-/// Zero-fault differential: the typed control plane (RpcChannel +
-/// BrokerService over an inert FaultPlane) must be bit-identical to the
-/// legacy implicit exchange — outcomes, plans, holdings, availability,
-/// RPC accounting, teardown effects.
-std::string typed_vs_implicit(Rng& rng, RpcFuzzStats* stats) {
-  const std::uint64_t world_seed = rng();
-  const std::uint64_t plane_seed = rng();
-  const std::uint64_t planner_seed = rng();
-  RpcWorld world_a, world_b;
-  {
-    Rng gen(world_seed);
-    make_rpc_world(gen, world_a);
-  }
-  {
-    Rng gen(world_seed);
-    make_rpc_world(gen, world_b);
-  }
-
-  EventQueue queue_a, queue_b;
-  FaultPlane plane_a(&queue_a, plane_seed, FaultConfig{});
-  FaultPlane plane_b(&queue_b, plane_seed, FaultConfig{});
-
-  SessionCoordinator implicit(world_a.service.get(), world_a.resources,
-                              &world_a.registry);
-  implicit.attach_faults(&plane_a, world_a.main_host);
-
-  rpc::BrokerService service(&world_b.registry);
-  SessionCoordinator typed(world_b.service.get(), world_b.resources,
-                           &world_b.registry);
-  typed.attach_rpc_service(&service, world_b.main_host, &plane_b, &plane_b);
-
-  BasicPlanner planner;
-  Rng rng_a(planner_seed), rng_b(planner_seed);
-  std::vector<std::pair<SessionId,
-                        std::vector<std::pair<ResourceId, double>>>>
-      held_a, held_b;
-  for (std::uint32_t s = 1; s <= 6; ++s) {
-    const double now = static_cast<double>(s);
-    const double scale = 0.8 + 0.2 * static_cast<double>(s % 3);
-    const EstablishResult a =
-        implicit.establish(SessionId{s}, now, planner, rng_a, scale);
-    const EstablishResult b =
-        typed.establish(SessionId{s}, now, planner, rng_b, scale);
-    ++stats->differential_sessions;
-    const std::string where =
-        "typed differential: session " + std::to_string(s);
-    if (a.success != b.success || a.outcome != b.outcome)
-      return where + " outcome " + std::string(to_string(a.outcome)) +
-             " vs " + to_string(b.outcome);
-    if (a.plan.has_value() != b.plan.has_value())
-      return where + " plan presence diverged";
-    if (a.plan &&
-        (a.plan->bottleneck_psi != b.plan->bottleneck_psi ||
-         a.plan->end_to_end_rank != b.plan->end_to_end_rank))
-      return where + " plan diverged (psi " + str(a.plan->bottleneck_psi) +
-             " vs " + str(b.plan->bottleneck_psi) + ")";
-    if (a.holdings != b.holdings) return where + " holdings diverged";
-    if (a.stats.participating_proxies != b.stats.participating_proxies ||
-        a.stats.availability_messages != b.stats.availability_messages ||
-        a.stats.dispatch_messages != b.stats.dispatch_messages ||
-        a.stats.reservations_attempted != b.stats.reservations_attempted ||
-        a.stats.unreachable_proxies != b.stats.unreachable_proxies ||
-        a.stats.retransmissions != b.stats.retransmissions)
-      return where + " rpc accounting diverged";
-    if (a.success) {
-      held_a.push_back({SessionId{s}, a.holdings});
-      held_b.push_back({SessionId{s}, b.holdings});
-    }
-  }
-  // Tear half of the established sessions down in both modes; the typed
-  // path goes through ReleaseRequests, the implicit one releases locally —
-  // broker state must end identical either way.
-  for (std::size_t i = 0; i < held_a.size(); i += 2) {
-    implicit.teardown(held_a[i].second, held_a[i].first, 10.0);
-    typed.teardown(held_b[i].second, held_b[i].first, 10.0);
-  }
-  for (std::size_t r = 0; r < world_a.resources.size(); ++r) {
-    const double avail_a =
-        world_a.registry.broker(world_a.resources[r]).available();
-    const double avail_b =
-        world_b.registry.broker(world_b.resources[r]).available();
-    if (avail_a != avail_b)
-      return "typed differential: resource " + std::to_string(r) +
-             " availability " + str(avail_a) + " vs " + str(avail_b);
-  }
-  if (plane_b.frame_totals().corrupted != 0 ||
-      plane_b.frame_totals().duplicated != 0 ||
-      plane_b.frame_totals().held_back != 0)
-    return "typed differential: inert plane faulted a frame";
   return "";
 }
 
@@ -580,7 +423,6 @@ std::string run_rpc_iteration(std::uint64_t seed, RpcFuzzStats* stats) {
                : "seed " + std::to_string(seed) + ": " + message;
   };
   std::string failure = codec_roundtrip(rng, stats);
-  if (failure.empty()) failure = typed_vs_implicit(rng, stats);
   if (failure.empty()) failure = frame_storm(rng, stats);
   if (failure.empty()) failure = backpressure_arm(rng, stats);
   return tag(std::move(failure));

@@ -10,10 +10,6 @@
 //     decode (the checksum covers the header prefix and the payload), and
 //     every strict prefix / trailing-byte extension is rejected as a
 //     typed DecodeStatus — never UB, never a partial message;
-//   * zero-fault differential: a SessionCoordinator running the typed
-//     control plane (RpcChannel + BrokerService) over an inert FaultPlane
-//     produces bit-identical outcomes, plans, holdings, broker
-//     availability and RPC accounting to the legacy implicit exchange;
 //   * corruption/duplication/reorder storms: random Reserve / Release /
 //     Renew / Reconcile / Query calls cross a frame-level fault plane;
 //     at-least-once retries reuse the SAME request id, so the service's
@@ -39,7 +35,6 @@ struct RpcFuzzStats {
   std::uint64_t messages_roundtripped = 0;  ///< encode/decode round-trips
   std::uint64_t flips_rejected = 0;         ///< single-byte flips rejected
   std::uint64_t truncations_rejected = 0;   ///< prefixes/extensions rejected
-  std::uint64_t differential_sessions = 0;  ///< typed-vs-implicit sessions
   std::uint64_t storm_calls = 0;            ///< calls under the frame storm
   std::uint64_t storm_retries = 0;          ///< same-id re-calls needed
   std::uint64_t frames_corrupted = 0;       ///< frames the storm corrupted
@@ -53,7 +48,6 @@ struct RpcFuzzStats {
     messages_roundtripped += o.messages_roundtripped;
     flips_rejected += o.flips_rejected;
     truncations_rejected += o.truncations_rejected;
-    differential_sessions += o.differential_sessions;
     storm_calls += o.storm_calls;
     storm_retries += o.storm_retries;
     frames_corrupted += o.frames_corrupted;

@@ -1,6 +1,6 @@
 // Bounded in-tree run of the typed-RPC fuzz harness (rpc_fuzz.*) so
-// tier-1 ctest exercises the codec rejection sweep, the typed-vs-implicit
-// differential and the frame-storm conservation oracle on every build;
+// tier-1 ctest exercises the codec rejection sweep, the frame-storm
+// conservation oracle and the backpressure arm on every build;
 // the standalone qres_fuzz --mode rpc driver runs the same iterations at
 // scale under sanitizers.
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@ TEST(RpcFuzzSmoke, IterationsAreClean) {
   EXPECT_GT(stats.messages_roundtripped, 0u);
   EXPECT_GT(stats.flips_rejected, 0u);
   EXPECT_GT(stats.truncations_rejected, 0u);
-  EXPECT_GT(stats.differential_sessions, 0u);
   EXPECT_GT(stats.storm_calls, 0u);
   EXPECT_GT(stats.frames_corrupted, 0u);
   EXPECT_GT(stats.frames_duplicated, 0u);

@@ -23,7 +23,8 @@ struct ScriptedTransport final : public IControlTransport {
   std::function<bool(HostId, HostId)> deny;
   int calls = 0;
 
-  ExchangeResult exchange(HostId from, HostId to, double /*now*/) override {
+  ExchangeResult exchange(HostId from, HostId to, double /*now*/,
+                          const RetryPolicy* /*budget*/) override {
     ++calls;
     if (down.count(to.value()) > 0) return {ExchangeStatus::kPeerDown, 0};
     if (deny && deny(from, to)) return {ExchangeStatus::kTimeout, 0};
@@ -44,6 +45,7 @@ struct Fixture {
       registry.add_resource("cpu2", ResourceKind::kCpu, HostId{2}, 100.0);
   ServiceDefinition service = make_service();
   SessionCoordinator coordinator{&service, {cpu1, cpu2}, &registry};
+  rpc::BrokerService broker_service{&registry};
   ScriptedTransport transport;
   BasicPlanner planner;
   Rng rng{7};
@@ -59,9 +61,9 @@ struct Fixture {
 
 TEST(FaultedCoordinator, AttachContracts) {
   Fixture f;
-  EXPECT_THROW(f.coordinator.attach_faults(nullptr, f.main_host),
+  EXPECT_THROW(f.coordinator.attach_rpc_service(nullptr, f.main_host),
                ContractViolation);
-  EXPECT_THROW(f.coordinator.attach_faults(&f.transport, HostId{}),
+  EXPECT_THROW(f.coordinator.attach_rpc_service(&f.broker_service, HostId{}),
                ContractViolation);
   EXPECT_THROW(f.coordinator.enable_leases(0.0), ContractViolation);
 }
@@ -72,7 +74,8 @@ TEST(FaultedCoordinator, PerfectTransportIsInvisible) {
       plain.coordinator.establish(SessionId{1}, 1.0, plain.planner, plain.rng);
 
   Fixture f;
-  f.coordinator.attach_faults(&f.transport, f.main_host);
+  f.coordinator.attach_rpc_service(&f.broker_service, f.main_host,
+                                  &f.transport);
   const EstablishResult result =
       f.coordinator.establish(SessionId{1}, 1.0, f.planner, f.rng);
 
@@ -90,7 +93,8 @@ TEST(FaultedCoordinator, PerfectTransportIsInvisible) {
 
 TEST(FaultedCoordinator, Phase1UnreachableHostIsPlannedAround) {
   Fixture f;
-  f.coordinator.attach_faults(&f.transport, f.main_host);
+  f.coordinator.attach_rpc_service(&f.broker_service, f.main_host,
+                                  &f.transport);
   f.transport.down.insert(1);  // host 1 (cpu1) never reports
   const EstablishResult result =
       f.coordinator.establish(SessionId{1}, 1.0, f.planner, f.rng);
@@ -105,15 +109,16 @@ TEST(FaultedCoordinator, Phase1UnreachableHostIsPlannedAround) {
 
 TEST(FaultedCoordinator, DispatchFailureTriggersReplanAroundDeadHost) {
   Fixture f;
-  f.coordinator.attach_faults(&f.transport, f.main_host);
+  f.coordinator.attach_rpc_service(&f.broker_service, f.main_host,
+                                  &f.transport);
   // Host 1 answers the phase-1 poll (calls 1, 2) but dies before the
   // phase-3 dispatch (call 3): the preferred plan fails with kUnreachable
   // and the recovery round must re-plan onto host 2.
   f.transport.deny = [&f](HostId, HostId to) {
     return f.transport.calls >= 3 && to == HostId{1};
   };
-  const EstablishResult result = f.coordinator.establish_with_recovery(
-      SessionId{1}, 1.0, f.planner, f.rng);
+  const EstablishResult result = f.coordinator.establish(
+      SessionId{1}, 1.0, f.planner, f.rng, 1.0, nullptr, {.max_replans = 2});
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.outcome, EstablishOutcome::kOk);
   EXPECT_EQ(result.stats.replans, 1u);
@@ -127,14 +132,15 @@ TEST(FaultedCoordinator, DispatchFailureTriggersReplanAroundDeadHost) {
 
 TEST(FaultedCoordinator, ReplanBudgetExhaustsIntoNoPlan) {
   Fixture f;
-  f.coordinator.attach_faults(&f.transport, f.main_host);
+  f.coordinator.attach_rpc_service(&f.broker_service, f.main_host,
+                                  &f.transport);
   // Every phase-3 dispatch is denied (calls 3 and 6); once both hosts are
   // marked dead the third round has nothing left to plan with.
   f.transport.deny = [&f](HostId, HostId) {
     return f.transport.calls == 3 || f.transport.calls == 6;
   };
-  const EstablishResult result = f.coordinator.establish_with_recovery(
-      SessionId{1}, 1.0, f.planner, f.rng);
+  const EstablishResult result = f.coordinator.establish(
+      SessionId{1}, 1.0, f.planner, f.rng, 1.0, nullptr, {.max_replans = 2});
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.outcome, EstablishOutcome::kNoPlan);
   EXPECT_EQ(result.stats.replans, 2u);
@@ -156,8 +162,9 @@ TEST(FaultedCoordinator, UnreachableRollbackLeaksUntilTheLeaseExpires) {
   t1.set(0, 0, rv({{cpu2, 30.0}}));
   ServiceDefinition service = test::make_chain({{1, t0}, {1, t1}});
   SessionCoordinator coordinator(&service, {cpu1, cpu2}, &registry);
+  rpc::BrokerService broker_service(&registry);
   ScriptedTransport transport;
-  coordinator.attach_faults(&transport, HostId{0});
+  coordinator.attach_rpc_service(&broker_service, HostId{0}, &transport);
   coordinator.enable_leases(5.0);
   registry.broker(cpu1).enable_expiry_log();
 

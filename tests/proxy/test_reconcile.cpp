@@ -29,7 +29,8 @@ const SessionId s1{1}, s2{2}, s9{9};
 struct StubTransport final : IControlTransport {
   int result = 1;  // transmissions used; 0 = exchange failed
   int calls = 0;
-  ExchangeResult exchange(HostId, HostId, double) override {
+  ExchangeResult exchange(HostId, HostId, double,
+                          const RetryPolicy*) override {
     ++calls;
     if (result == 0) return {ExchangeStatus::kTimeout, 0};
     return {ExchangeStatus::kOk, result};
@@ -48,6 +49,7 @@ struct Fixture {
       "bw", ResourceKind::kNetworkBandwidth, HostId{}, 50.0);
   ServiceDefinition service = make_service();
   SessionCoordinator coordinator{&service, {cpu, bw}, &registry};
+  rpc::BrokerService broker_service{&registry};
   BasicPlanner planner;
   Rng rng{7};
 
@@ -144,7 +146,7 @@ TEST(Reconcile, FailedResyncRpcLeavesTheHoldingUntouched) {
   f.coordinator.enable_leases(10.0);
   StubTransport transport;
   transport.result = 0;  // every exchange is lost
-  f.coordinator.attach_faults(&transport, HostId{0});
+  f.coordinator.attach_rpc_service(&f.broker_service, HostId{0}, &transport);
   ASSERT_TRUE(f.leaf(f.cpu).reserve_leased(0.0, s1, 20.0, 5.0));
   // The claim owner (host 2) cannot reach the broker host (host 0): the
   // recovered holding stays as-is — no renewal, no forfeit — protected by
@@ -165,7 +167,7 @@ TEST(Reconcile, FailedOrphanSweepRpcLeavesTheOrphanForTheNextPass) {
   transport.result = 0;
   // The coordinator itself runs on host 5; releasing an orphan needs a
   // coordinator-to-broker-host RPC, which is down too.
-  f.coordinator.attach_faults(&transport, HostId{5});
+  f.coordinator.attach_rpc_service(&f.broker_service, HostId{5}, &transport);
   ASSERT_TRUE(f.leaf(f.cpu).reserve(0.0, s9, 15.0));
   const auto report = f.coordinator.reconcile_broker(f.cpu, 2.0, {});
   EXPECT_EQ(report.orphans_released, 0u);
@@ -182,7 +184,7 @@ TEST(Reconcile, MainLocalBrokerNeedsNoTransport) {
   Fixture f;
   StubTransport transport;
   transport.result = 0;
-  f.coordinator.attach_faults(&transport, HostId{0});
+  f.coordinator.attach_rpc_service(&f.broker_service, HostId{0}, &transport);
   // bw's catalog host is invalid (main-local): reconciliation never
   // crosses the transport, so a dead control plane cannot block it.
   ASSERT_TRUE(f.leaf(f.bw).reserve(0.0, s1, 30.0));

@@ -181,7 +181,8 @@ struct ScriptedTransport final : public IControlTransport {
   std::function<bool(HostId, HostId)> deny;
   int calls = 0;
 
-  ExchangeResult exchange(HostId from, HostId to, double /*now*/) override {
+  ExchangeResult exchange(HostId from, HostId to, double /*now*/,
+                          const RetryPolicy* /*budget*/) override {
     ++calls;
     if (down.count(to.value()) > 0) return {ExchangeStatus::kPeerDown, 0};
     if (deny && deny(from, to)) return {ExchangeStatus::kTimeout, 0};
@@ -202,6 +203,7 @@ struct FaultedFixture {
       registry.add_resource("cpu2", ResourceKind::kCpu, HostId{2}, 100.0);
   ServiceDefinition service = make_service();
   SessionCoordinator coordinator{&service, {cpu1, cpu2}, &registry};
+  rpc::BrokerService broker_service{&registry};
   ScriptedTransport transport;
   BasicPlanner planner;
   Rng rng{7};
@@ -216,7 +218,7 @@ struct FaultedFixture {
   /// Establishes at the degraded rank by keeping host 1 down, then
   /// brings it back. Returns the (rank-1) holdings.
   EstablishResult establish_degraded(SessionId s) {
-    coordinator.attach_faults(&transport, HostId{0});
+    coordinator.attach_rpc_service(&broker_service, HostId{0}, &transport);
     transport.down.insert(1);
     EstablishResult r = coordinator.establish(s, 1.0, planner, rng);
     transport.down.erase(1);
@@ -277,8 +279,10 @@ TEST(RenegotiateFaults, StrandedExcessReleaseIsReportedAndKeptOnTheBooks) {
                                                         {f.cpu2, 20.0}}));
   EXPECT_EQ(f.registry.broker(f.cpu1).held_by(s), 20.0);
   EXPECT_EQ(f.registry.broker(f.cpu2).held_by(s), 20.0);
-  // A later teardown with those books settles everything.
-  f.coordinator.teardown(upgraded.holdings, s, 4.0);
+  // A later teardown with those books, once host 2 is reachable again,
+  // settles everything.
+  f.transport.deny = nullptr;
+  EXPECT_TRUE(f.coordinator.teardown(upgraded.holdings, s, 4.0).empty());
   EXPECT_EQ(f.registry.broker(f.cpu1).available(), 100.0);
   EXPECT_EQ(f.registry.broker(f.cpu2).available(), 100.0);
 }

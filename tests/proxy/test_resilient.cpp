@@ -19,6 +19,7 @@ struct Fixture {
       registry.add_resource("alt", ResourceKind::kCpu, HostId{}, 100.0);
   ServiceDefinition service = make_service();
   SessionCoordinator coordinator{&service, {r_cheap, r_alt}, &registry};
+  BasicPlanner planner;
   Rng rng{3};
 
   ServiceDefinition make_service() {
@@ -31,17 +32,22 @@ struct Fixture {
   }
 };
 
+EstablishPolicy fallback(std::size_t attempts) {
+  EstablishPolicy policy;
+  policy.fallback_attempts = attempts;
+  return policy;
+}
+
 TEST(EstablishResilient, BehavesLikeEstablishWhenFresh) {
   Fixture f;
-  const EstablishResult resilient = f.coordinator.establish_resilient(
-      SessionId{1}, 1.0, /*max_attempts=*/4, f.rng);
+  const EstablishResult resilient = f.coordinator.establish(
+      SessionId{1}, 1.0, f.planner, f.rng, 1.0, nullptr, fallback(4));
   ASSERT_TRUE(resilient.success);
   EXPECT_DOUBLE_EQ(resilient.plan->bottleneck_psi, 0.1);
   f.coordinator.teardown(resilient.holdings, SessionId{1}, 1.5);
 
-  BasicPlanner planner;
   const EstablishResult plain =
-      f.coordinator.establish(SessionId{2}, 2.0, planner, f.rng);
+      f.coordinator.establish(SessionId{2}, 2.0, f.planner, f.rng);
   ASSERT_TRUE(plain.success);
   EXPECT_DOUBLE_EQ(plain.plan->bottleneck_psi,
                    resilient.plan->bottleneck_psi);
@@ -55,15 +61,14 @@ TEST(EstablishResilient, FallsBackWhenStalePlanIsRejected) {
   ASSERT_TRUE(f.registry.broker(f.r_cheap).reserve(10.0, SessionId{9},
                                                    95.0));
   const auto stale = [](ResourceId) { return 5.0; };
-  const EstablishResult one_shot = f.coordinator.establish_resilient(
-      SessionId{1}, 12.0, /*max_attempts=*/1, f.rng, 1.0, stale);
+  const EstablishResult one_shot = f.coordinator.establish(
+      SessionId{1}, 12.0, f.planner, f.rng, 1.0, stale, fallback(1));
   EXPECT_FALSE(one_shot.success);
   ASSERT_TRUE(one_shot.plan.has_value());  // planning succeeded, stale
   EXPECT_GT(one_shot.stats.reservations_attempted, 0u);
 
-  const EstablishResult with_fallback = f.coordinator.establish_resilient(
-      SessionId{2}, 12.5, /*max_attempts=*/2, f.rng, 1.0,
-      [](ResourceId) { return 5.0; });
+  const EstablishResult with_fallback = f.coordinator.establish(
+      SessionId{2}, 12.5, f.planner, f.rng, 1.0, stale, fallback(2));
   ASSERT_TRUE(with_fallback.success);
   // The successful plan is the alternative (entirely over r_alt).
   EXPECT_DOUBLE_EQ(with_fallback.plan->total_requirement().get(f.r_alt),
@@ -80,12 +85,13 @@ TEST(EstablishResilient, DescendsToLowerSinksWhenNeeded) {
   t.set(0, 1, rv({{r, 10.0}}));  // level 1
   ServiceDefinition service = test::make_chain({{2, t}});
   SessionCoordinator coordinator(&service, {r}, &registry);
+  BasicPlanner planner;
   Rng rng(1);
   // Stale view (t=0) says 100 free; reality: only 20 free.
   ASSERT_TRUE(registry.broker(r).reserve(10.0, SessionId{9}, 80.0));
-  const EstablishResult result = coordinator.establish_resilient(
-      SessionId{1}, 12.0, /*max_attempts=*/4, rng, 1.0,
-      [](ResourceId) { return 12.0; });
+  const EstablishResult result = coordinator.establish(
+      SessionId{1}, 12.0, planner, rng, 1.0, [](ResourceId) { return 12.0; },
+      fallback(4));
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.plan->end_to_end_rank, 1u);  // degraded but admitted
 }
@@ -95,17 +101,26 @@ TEST(EstablishResilient, RespectsAttemptBudget) {
   ASSERT_TRUE(f.registry.broker(f.r_cheap).reserve(10.0, SessionId{8},
                                                    95.0));
   ASSERT_TRUE(f.registry.broker(f.r_alt).reserve(10.5, SessionId{9}, 95.0));
-  const EstablishResult result = f.coordinator.establish_resilient(
-      SessionId{1}, 12.0, /*max_attempts=*/2, f.rng, 1.0,
-      [](ResourceId) { return 5.0; });
+  const EstablishResult result = f.coordinator.establish(
+      SessionId{1}, 12.0, f.planner, f.rng, 1.0,
+      [](ResourceId) { return 5.0; }, fallback(2));
   EXPECT_FALSE(result.success);
-  EXPECT_LE(result.stats.dispatch_messages, 2u);
+  // One reservation per dispatched plan (each plan needs one resource).
+  EXPECT_EQ(result.stats.reservations_attempted, 2u);
+  EXPECT_EQ(result.outcome, EstablishOutcome::kAdmission);
+  // The reported plan stays the planner's first choice.
+  EXPECT_DOUBLE_EQ(result.plan->total_requirement().get(f.r_cheap), 11.0);
 }
 
 TEST(EstablishResilient, Contracts) {
   Fixture f;
-  EXPECT_THROW(f.coordinator.establish_resilient(SessionId{1}, 1.0, 0,
-                                                 f.rng),
+  EXPECT_THROW(f.coordinator.establish(SessionId{1}, 1.0, f.planner, f.rng,
+                                      1.0, nullptr, fallback(0)),
+               ContractViolation);
+  EstablishPolicy negative;
+  negative.max_replans = -1;
+  EXPECT_THROW(f.coordinator.establish(SessionId{1}, 1.0, f.planner, f.rng,
+                                      1.0, nullptr, negative),
                ContractViolation);
 }
 

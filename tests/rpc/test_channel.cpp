@@ -21,18 +21,16 @@ struct FakeTransport : IControlTransport {
   int budgeted = 0;
   RetryPolicy last_policy;
 
-  ExchangeResult exchange(HostId, HostId, double) override {
+  ExchangeResult exchange(HostId, HostId, double,
+                          const RetryPolicy* budget) override {
     ++exchanges;
-    return healthy ? ExchangeResult{ExchangeStatus::kOk, 1}
-                   : ExchangeResult{ExchangeStatus::kTimeout, 3};
-  }
-  ExchangeResult exchange_budgeted(HostId, HostId, double,
-                                   const RetryPolicy& policy) override {
-    ++budgeted;
-    last_policy = policy;
-    return healthy
-               ? ExchangeResult{ExchangeStatus::kOk, 1}
-               : ExchangeResult{ExchangeStatus::kTimeout, policy.max_attempts};
+    if (budget != nullptr) {
+      ++budgeted;
+      last_policy = *budget;
+    }
+    if (healthy) return {ExchangeStatus::kOk, 1};
+    return {ExchangeStatus::kTimeout,
+            budget != nullptr ? budget->max_attempts : 3};
   }
   bool reachable(HostId, double) const override { return true; }
 };
@@ -126,7 +124,7 @@ TEST(RpcChannel, SpentDeadlineFastFailsWithoutTransport) {
   const ExchangeResult r = channel.ping(HostId{0}, HostId{1}, 5.0, 4.0);
   EXPECT_EQ(r.status, ExchangeStatus::kDeadlineExceeded);
   EXPECT_EQ(r.transmissions, 0);
-  EXPECT_EQ(transport.exchanges + transport.budgeted, 0);
+  EXPECT_EQ(transport.exchanges, 0);
   EXPECT_EQ(channel.peer_stats().at(HostId{1}).deadline_exceeded, 1u);
 }
 
@@ -135,7 +133,7 @@ TEST(RpcChannel, InfiniteDeadlineUsesTheTransportsOwnPolicy) {
   transport.healthy = true;
   RpcChannel channel(&transport, nullptr, nullptr);
   EXPECT_TRUE(channel.ping(HostId{0}, HostId{1}, 0.0).ok());
-  // No deadline: the plain exchange() path, never exchange_budgeted().
+  // No deadline: no budget handed to the transport.
   EXPECT_EQ(transport.exchanges, 1);
   EXPECT_EQ(transport.budgeted, 0);
 }
@@ -170,7 +168,7 @@ TEST(RpcChannel, LoopbackSpendsNoTransportAttempt) {
   const ExchangeResult r = channel.ping(HostId{2}, HostId{2}, 0.0);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.transmissions, 0);
-  EXPECT_EQ(transport.exchanges + transport.budgeted, 0);
+  EXPECT_EQ(transport.exchanges, 0);
 }
 
 TEST(RpcChannel, TypedCallStampsIdsAndDeduplicates) {
@@ -206,6 +204,30 @@ TEST(RpcChannel, TypedCallStampsIdsAndDeduplicates) {
   EXPECT_EQ(stats.calls, 3u);
   EXPECT_GT(stats.bytes_sent, 0u);
   EXPECT_GT(stats.bytes_received, 0u);
+}
+
+TEST(RpcChannel, ChannelsSharingAServerStampDisjointIdRanges) {
+  BrokerRegistry registry;
+  const ResourceId cpu =
+      registry.add_resource("cpu", ResourceKind::kCpu, HostId{1}, 100.0);
+  BrokerService service(&registry);
+  RpcChannel first(nullptr, &service, nullptr);
+  RpcChannel second(nullptr, &service, nullptr);
+
+  // The first channel on a server keeps the plain 1, 2, 3 ... ids; the
+  // second counts inside its own range, so the service's dedup cache —
+  // keyed by the bare id — never answers one client with another's reply.
+  const ReserveRequest reserve{{0, 4, 0.0}, cpu.value(), 25.0, 0.0};
+  const CallResult a = first.call(HostId{0}, HostId{1}, reserve, 1.0);
+  const CallResult b = second.call(HostId{0}, HostId{1}, reserve, 1.0);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(std::get<ReserveReply>(a.reply).request_id, 1u);
+  EXPECT_EQ(std::get<ReserveReply>(b.reply).request_id,
+            (std::uint64_t{1} << IFrameServer::kRequestIdRangeBits) + 1);
+  EXPECT_EQ(registry.broker(cpu).held_by(SessionId{4}), 50.0);
+  EXPECT_EQ(service.stats().executed, 2u);
+  EXPECT_EQ(service.stats().duplicates, 0u);
 }
 
 TEST(RpcChannel, TypedCallRejectsNonRequests) {

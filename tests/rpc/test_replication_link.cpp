@@ -26,12 +26,10 @@ constexpr double kInf = RpcChannel::kNoDeadline;
 /// Transport whose every exchange times out: frames never move, so typed
 /// calls end without a reply and the link must report the batch lost.
 struct DeadTransport final : IControlTransport {
-  ExchangeResult exchange(HostId, HostId, double) override {
-    return {ExchangeStatus::kTimeout, 1};
-  }
-  ExchangeResult exchange_budgeted(HostId, HostId, double,
-                                   const RetryPolicy& policy) override {
-    return {ExchangeStatus::kTimeout, policy.max_attempts};
+  ExchangeResult exchange(HostId, HostId, double,
+                          const RetryPolicy* budget) override {
+    return {ExchangeStatus::kTimeout,
+            budget != nullptr ? budget->max_attempts : 1};
   }
   bool reachable(HostId, double) const override { return true; }
 };
@@ -65,7 +63,7 @@ TEST(ReplicationLink, ShipsJournalRecordsThroughTheTypedPlane) {
   ASSERT_NE(group, nullptr);
 
   ReplicationService service(&registry);
-  RpcChannel channel(nullptr, &service, nullptr);  // perfect control plane
+  RpcChannel channel(nullptr, &service, nullptr);  // lossless transport
   ReplicationLink link(&channel, &registry);
   group->set_transport(&link);
 

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <vector>
+
+#include "rpc/broker_service.hpp"
+#include "sim/simulation.hpp"
 
 namespace qres {
 namespace {
@@ -150,6 +155,64 @@ TEST(PaperScenario, EndToEndEstablishmentThroughScenario) {
   EXPECT_EQ(
       scenario.registry().broker(scenario.host_resource(4)).available(),
       scenario.registry().broker(scenario.host_resource(4)).capacity());
+}
+
+/// A short figure-9 run in which every coordinator is attached either to
+/// one BrokerService they all share or to a BrokerService of its own.
+SimulationStats run_attached(bool shared, std::uint64_t* replays) {
+  PaperScenarioConfig config;
+  config.setup_seed = 5;
+  PaperScenario scenario(config);
+  std::vector<std::unique_ptr<rpc::BrokerService>> services;
+  for (int s = 1; s <= PaperScenario::kServers; ++s)
+    for (int d = 1; d <= PaperScenario::kDomains; ++d) {
+      if (PaperScenario::excluded_service(d) == s) continue;
+      if (!shared || services.empty())
+        services.push_back(
+            std::make_unique<rpc::BrokerService>(&scenario.registry()));
+      SessionCoordinator& coordinator = scenario.coordinator(s, d);
+      coordinator.attach_rpc_service(services.back().get(),
+                                     coordinator.service().component(0).host());
+    }
+  BasicPlanner planner;
+  SimulationConfig sim;
+  sim.arrival_rate = 3.0;
+  sim.run_length = 300.0;
+  sim.seed = 5;
+  sim.record_paths = false;
+  const SimulationStats stats =
+      Simulation(scenario.make_source(), &planner, sim).run();
+  *replays = 0;
+  for (const auto& service : services) *replays += service->stats().duplicates;
+  return stats;
+}
+
+TEST(PaperScenario, CoordinatorsSharingOneBrokerServiceDecideAlike) {
+  // Every channel numbers its requests inside its own id range on the
+  // server, so sharing a service changes nothing: no reply is served from
+  // another coordinator's dedup entry (no std::bad_variant_access, no
+  // phantom grant), and every decision matches one service each.
+  std::uint64_t shared_replays = 0, own_replays = 0;
+  const SimulationStats shared = run_attached(true, &shared_replays);
+  const SimulationStats own = run_attached(false, &own_replays);
+  EXPECT_EQ(shared_replays, 0u);
+  EXPECT_EQ(own_replays, 0u);
+  EXPECT_GT(shared.overall_success().attempts(), 500u);
+  for (std::size_t c = 0; c < kSessionClassCount; ++c) {
+    const auto session_class = static_cast<SessionClass>(c);
+    EXPECT_EQ(shared.class_success(session_class).attempts(),
+              own.class_success(session_class).attempts());
+    EXPECT_EQ(shared.class_success(session_class).successes(),
+              own.class_success(session_class).successes());
+    EXPECT_EQ(shared.class_qos(session_class).count(),
+              own.class_qos(session_class).count());
+    if (!own.class_qos(session_class).empty()) {
+      EXPECT_EQ(shared.class_qos(session_class).mean(),
+                own.class_qos(session_class).mean());
+    }
+  }
+  EXPECT_EQ(shared.admission_failures(), own.admission_failures());
+  EXPECT_EQ(shared.bottleneck_counts(), own.bottleneck_counts());
 }
 
 TEST(PaperScenario, NetworkReservationLandsOnPhysicalLinks) {

@@ -34,7 +34,7 @@ TEST(RetryPolicy, ZeroRetryBudgetGivesUpAfterOneAttempt) {
   EXPECT_EQ(plane.totals().failed_messages, 1u);
 
   const ExchangeResult r =
-      plane.exchange_budgeted(HostId{0}, HostId{1}, 10.0, policy);
+      plane.exchange(HostId{0}, HostId{1}, 10.0, &policy);
   EXPECT_EQ(r.status, ExchangeStatus::kTimeout);
   EXPECT_EQ(r.transmissions, 1);
 
@@ -45,7 +45,7 @@ TEST(RetryPolicy, ZeroRetryBudgetGivesUpAfterOneAttempt) {
       plane.plan_message(std::nullopt, HostId{0}, HostId{1}, 0.0, 0.1,
                          malformed),
       ContractViolation);
-  EXPECT_THROW(plane.exchange_budgeted(HostId{0}, HostId{1}, 0.0, malformed),
+  EXPECT_THROW(plane.exchange(HostId{0}, HostId{1}, 0.0, &malformed),
                ContractViolation);
 }
 

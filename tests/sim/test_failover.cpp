@@ -29,15 +29,11 @@ const HostId kCoordinator{9};
 struct FlakyTransport final : IControlTransport {
   bool healthy = true;
 
-  ExchangeResult exchange(HostId, HostId, double) override {
-    return healthy ? ExchangeResult{ExchangeStatus::kOk, 1}
-                   : ExchangeResult{ExchangeStatus::kTimeout, 1};
-  }
-  ExchangeResult exchange_budgeted(HostId, HostId, double,
-                                   const RetryPolicy& policy) override {
-    return healthy
-               ? ExchangeResult{ExchangeStatus::kOk, 1}
-               : ExchangeResult{ExchangeStatus::kTimeout, policy.max_attempts};
+  ExchangeResult exchange(HostId, HostId, double,
+                          const RetryPolicy* budget) override {
+    if (healthy) return {ExchangeStatus::kOk, 1};
+    return {ExchangeStatus::kTimeout,
+            budget != nullptr ? budget->max_attempts : 1};
   }
   bool reachable(HostId, double) const override { return true; }
 };

@@ -139,15 +139,16 @@ TEST(FaultPlane, TransportExchangeReflectsHostState) {
   FaultPlane plane(&q, 5);
   plane.crash_host(HostId{2}, 0.0, 10.0);
   IControlTransport& transport = plane;
-  const ExchangeResult ok = transport.exchange(HostId{0}, HostId{1}, 1.0);
+  const ExchangeResult ok =
+      transport.exchange(HostId{0}, HostId{1}, 1.0, nullptr);
   EXPECT_EQ(ok.status, ExchangeStatus::kOk);
   EXPECT_EQ(ok.transmissions, 1);
   // A crashed peer is a typed kPeerDown, not a mere timeout.
-  EXPECT_EQ(transport.exchange(HostId{0}, HostId{2}, 1.0).status,
+  EXPECT_EQ(transport.exchange(HostId{0}, HostId{2}, 1.0, nullptr).status,
             ExchangeStatus::kPeerDown);
-  EXPECT_EQ(transport.exchange(HostId{2}, HostId{0}, 1.0).status,
+  EXPECT_EQ(transport.exchange(HostId{2}, HostId{0}, 1.0, nullptr).status,
             ExchangeStatus::kPeerDown);
-  EXPECT_TRUE(transport.exchange(HostId{0}, HostId{2}, 11.0).ok());
+  EXPECT_TRUE(transport.exchange(HostId{0}, HostId{2}, 11.0, nullptr).ok());
   EXPECT_FALSE(transport.reachable(HostId{2}, 1.0));
   EXPECT_TRUE(transport.reachable(HostId{2}, 11.0));
   // The failed exchange burned the whole (default 4-attempt) RPC budget.

@@ -11,7 +11,9 @@
 //
 // With --mode faults (see tests/fuzz/fault_fuzz.*) each iteration instead
 // derives a random fault schedule and proves:
-//   * zero-fault runs are bit-identical to running without a FaultPlane,
+//   * zero-fault runs are bit-identical to running without a FaultPlane
+//     (a coordinator on its loopback vs one attached to a BrokerService
+//     over an inert plane; RSVP with and without the plane),
 //   * the ReservationAuditor model matches broker/link state under faults,
 //   * after teardown + lease expiry not one unit of capacity leaked.
 //
@@ -37,8 +39,6 @@
 //   * every wire message round-trips encode/decode and re-encodes
 //     bit-identically; EVERY single-byte flip, strict prefix and trailing
 //     extension of a valid frame is rejected as a typed DecodeStatus,
-//   * a coordinator on the typed control plane under zero faults is
-//     bit-identical to the legacy implicit exchange,
 //   * under corruption/duplication/reorder storms, at-least-once retries
 //     with stable request ids stay exactly-once (client ledger == broker
 //     holdings; no capacity leaks),
@@ -271,13 +271,13 @@ int main(int argc, char** argv) {
         "qres_fuzz rpc: %" PRIu64 " iteration(s), %" PRIu64
         " failure(s); %" PRIu64 " round-trips, %" PRIu64
         " flips + %" PRIu64 " truncations rejected, %" PRIu64
-        " differential sessions, %" PRIu64 " storm calls (%" PRIu64
+        " storm calls (%" PRIu64
         " retries, %" PRIu64 " corrupt, %" PRIu64 " dup, %" PRIu64
         " reorder, %" PRIu64 " dedup replays), %" PRIu64
         " backpressure rejects, %" PRIu64 " conservation checks\n",
         total, failures, rpc_stats.messages_roundtripped,
         rpc_stats.flips_rejected, rpc_stats.truncations_rejected,
-        rpc_stats.differential_sessions, rpc_stats.storm_calls,
+        rpc_stats.storm_calls,
         rpc_stats.storm_retries, rpc_stats.frames_corrupted,
         rpc_stats.frames_duplicated, rpc_stats.frames_reordered,
         rpc_stats.dedup_replays, rpc_stats.backpressure_rejects,

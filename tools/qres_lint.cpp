@@ -129,7 +129,7 @@ const std::vector<Rule>& rules() {
        "#include must follow the layer DAG util <- core <- broker <- "
        "rpc <- mc/signal <- proxy/enforce <- adapt <- sim <- scenario"},
       {"rpc-direct-exchange",
-       "IControlTransport::exchange/exchange_budgeted may only be called "
+       "IControlTransport::exchange may only be called "
        "through rpc::RpcChannel; direct calls bypass request ids, "
        "deadlines, circuit breakers and per-peer stats (DESIGN.md §12)"},
       {"unchecked-status",
@@ -941,7 +941,7 @@ struct Checker {
   // retry budgets to the propagated deadline, and feeds the per-peer
   // circuit breakers and stats. Only the shim itself, the transport's own
   // translation unit, and the FaultPlane implementation of the interface
-  // may touch exchange/exchange_budgeted directly.
+  // may touch exchange directly.
   void check_rpc_gateway() {
     if (!in_src()) return;
     if (rel.rfind("src/rpc/", 0) == 0 ||
@@ -949,7 +949,7 @@ struct Checker {
         rel.rfind("src/signal/fault_plane.", 0) == 0)
       return;
     static const std::regex kDirectExchange(
-        R"((->|\.)\s*exchange(_budgeted)?\s*\()");
+        R"((->|\.)\s*exchange\s*\()");
     for (std::size_t i = 0; i < view->code.size(); ++i)
       if (std::regex_search(view->code[i], kDirectExchange))
         report(static_cast<int>(i) + 1, "rpc-direct-exchange",

@@ -154,13 +154,18 @@ int main(int argc, char** argv) {
   adapt::AdaptationEngine engine(&coordinator, &monitor, &planner,
                                  &degrade_planner);
 
-  // Typed control plane for the `rpc` command: no transport (perfect
-  // wire), the registry exposed as a frame server, breaker armed so the
+  // The coordinator's typed control plane: no transport (lossless wire),
+  // the registry exposed as a frame server, breaker armed so the `rpc`
   // dump shows a live (closed) breaker per peer.
   rpc::BrokerService rpc_service(&registry);
   rpc::RpcChannel::Config rpc_config;
   rpc_config.breaker.failure_threshold = 3;
-  rpc::RpcChannel rpc_channel(nullptr, &rpc_service, nullptr, rpc_config);
+  const HostId main_host = service.component(0).host().valid()
+                               ? service.component(0).host()
+                               : HostId{0};
+  coordinator.attach_rpc_service(&rpc_service, main_host, nullptr, nullptr,
+                                 rpc_config);
+  rpc::RpcChannel& rpc_channel = *coordinator.rpc_channel();
 
   std::cout << "loaded '" << model.service_name << "' ("
             << service.component_count() << " components) over "
