@@ -3,7 +3,8 @@
 // DESIGN.md §11 parallel planning engine. K = number of components in
 // the chain, Q = QoS levels per component.
 //
-// Timing is split by phase so regressions localize: QRG construction,
+// Timing is split by phase so regressions localize: QRG compilation
+// (cold, once per service) and re-weighting (warm, once per session),
 // pass I alone (each queue implementation), pass II alone, and the
 // establishment pipeline split into snapshot / plan / full commit via
 // SessionCoordinator's three-phase API — earlier revisions timed the
@@ -22,6 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,10 +84,33 @@ Synthetic make_chain(int k, int q) {
 // ---------------------------------------------------------------------
 // Phase-split timings on the synthetic K x Q grid.
 
-void BM_QrgConstruction(benchmark::State& state) {
+void BM_QrgCompile(benchmark::State& state) {
+  // Cold: every iteration builds the first Qrg of a fresh copy of the
+  // service, which compiles it (translation calls, node numbering, CSR)
+  // and then weighs the candidates once. Making and destroying the copy
+  // are untimed.
   const Synthetic s =
       make_chain(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fresh = std::make_unique<ServiceDefinition>(s.service);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(Qrg(*fresh, s.view).edge_count());
+    state.PauseTiming();
+    fresh.reset();
+    state.ResumeTiming();
+  }
+  state.SetComplexityN(state.range(0) * state.range(1) * state.range(1));
+}
+
+void BM_QrgReweight(benchmark::State& state) {
+  // Warm: the per-session cost once the service is compiled — one
+  // weighing pass over the candidates against the snapshot.
+  const Synthetic s =
+      make_chain(static_cast<int>(state.range(0)),
+                 static_cast<int>(state.range(1)));
+  benchmark::DoNotOptimize(Qrg(s.service, s.view).edge_count());
   for (auto _ : state) {
     Qrg qrg(s.service, s.view);
     benchmark::DoNotOptimize(qrg.edge_count());
@@ -192,8 +217,8 @@ void planner_args(benchmark::internal::Benchmark* b) {
     for (int q : {4, 16, 64}) b->Args({k, q});
 }
 
-BENCHMARK(BM_QrgConstruction)->Apply(planner_args)->Complexity(
-    benchmark::oN);
+BENCHMARK(BM_QrgCompile)->Apply(planner_args)->Complexity(benchmark::oN);
+BENCHMARK(BM_QrgReweight)->Apply(planner_args)->Complexity(benchmark::oN);
 BENCHMARK(BM_PassIRelax)->Apply(planner_args)->Complexity(benchmark::oN);
 BENCHMARK(BM_PassIDijkstraHeap)
     ->Args({8, 16})

@@ -44,9 +44,7 @@ PlanResult ExhaustivePlanner::plan(const Qrg& qrg, Rng& /*rng*/) const {
         combo[j] = assignment[preds[j]];
       const LevelIndex flat =
           preds.empty() ? 0 : service.flatten_in_level(c, combo);
-      const std::uint32_t e =
-          qrg.find_edge(qrg.node_of(c, QrgNodeKind::kIn, flat),
-                        qrg.node_of(c, QrgNodeKind::kOut, assignment[c]));
+      const std::uint32_t e = qrg.translation_edge(c, flat, assignment[c]);
       if (e == QrgEdge::kNone) {
         feasible = false;
         break;
@@ -91,13 +89,11 @@ PlanResult ExhaustivePlanner::plan(const Qrg& qrg, Rng& /*rng*/) const {
       combo[j] = winner[preds[j]];
     const LevelIndex flat =
         preds.empty() ? 0 : service.flatten_in_level(c, combo);
-    const std::uint32_t e =
-        qrg.find_edge(qrg.node_of(c, QrgNodeKind::kIn, flat),
-                      qrg.node_of(c, QrgNodeKind::kOut, winner[c]));
+    const std::uint32_t e = qrg.translation_edge(c, flat, winner[c]);
     QRES_ASSERT(e != QrgEdge::kNone);
     const QrgEdge& edge = qrg.edge(e);
-    plan.steps.push_back(PlanStep{c, flat, winner[c], edge.requirement,
-                                  edge.psi});
+    plan.steps.push_back(
+        PlanStep{c, flat, winner[c], qrg.requirement(e), edge.psi});
     if (edge.psi > bottleneck) {
       bottleneck = edge.psi;
       plan.bottleneck_resource = edge.bottleneck;

@@ -27,7 +27,7 @@ NodeLabel relax_node(const Qrg& qrg, const PlannerOptions& options,
     // AND semantics: one incoming equivalence edge per predecessor
     // component; the node is realized when all constituents are, and
     // its value is the max of theirs (§4.3.2 pass I).
-    const auto& incoming = qrg.in_edges(v);
+    const auto incoming = qrg.in_edges(v);
     if (incoming.empty()) return label;  // isolated (should not happen)
     double value = 0.0;
     ResourceId bottleneck;
@@ -299,9 +299,8 @@ std::optional<ReservationPlan> extract_plan(
             for (std::size_t j = 0; j < preds.size(); ++j)
               if (preds[j] == c) combo[j] = x;
             const LevelIndex flat = service.flatten_in_level(succ, combo);
-            const std::uint32_t e = qrg.find_edge(
-                qrg.node_of(succ, QrgNodeKind::kIn, flat),
-                qrg.node_of(succ, QrgNodeKind::kOut, chosen_out[succ]));
+            const std::uint32_t e =
+                qrg.translation_edge(succ, flat, chosen_out[succ]);
             if (e == QrgEdge::kNone) {
               valid = false;
               break;
@@ -336,11 +335,10 @@ std::optional<ReservationPlan> extract_plan(
 
     // 3. Record the demands this component places on its predecessors.
     const auto& preds = service.predecessors(c);
-    if (!preds.empty()) {
-      const auto combo = service.in_level_combo(c, chosen_in[c]);
-      for (std::size_t j = 0; j < preds.size(); ++j)
-        demands[preds[j]].push_back({c, combo[j]});
-    }
+    const auto combo =
+        qrg.in_combo(qrg.node_of(c, QrgNodeKind::kIn, chosen_in[c]));
+    for (std::size_t j = 0; j < preds.size(); ++j)
+      demands[preds[j]].push_back({c, combo[j]});
   }
 
   // Assemble the plan from the fixed operating points.
@@ -349,13 +347,12 @@ std::optional<ReservationPlan> extract_plan(
   double bottleneck_psi = -1.0;
   for (ComponentIndex c : topo) {
     const std::uint32_t e =
-        qrg.find_edge(qrg.node_of(c, QrgNodeKind::kIn, chosen_in[c]),
-                      qrg.node_of(c, QrgNodeKind::kOut, chosen_out[c]));
+        qrg.translation_edge(c, chosen_in[c], chosen_out[c]);
     QRES_ENSURE(e != QrgEdge::kNone,
                 "extract_plan: assembled plan uses a missing edge");
     const QrgEdge& edge = qrg.edge(e);
-    plan.steps.push_back(
-        PlanStep{c, chosen_in[c], chosen_out[c], edge.requirement, edge.psi});
+    plan.steps.push_back(PlanStep{c, chosen_in[c], chosen_out[c],
+                                  qrg.requirement(e), edge.psi});
     if (edge.psi > bottleneck_psi) {
       bottleneck_psi = edge.psi;
       plan.bottleneck_resource = edge.bottleneck;
@@ -384,7 +381,7 @@ std::vector<ReservationPlan> enumerate_plans(const Qrg& qrg,
   // Depth-first backward walk over incoming edges; each complete walk to
   // the source is one plan (the translation edges along it).
   std::vector<ReservationPlan> plans;
-  std::vector<const QrgEdge*> stack;  // translation edges, sink-first
+  std::vector<std::uint32_t> stack;  // translation edges, sink-first
   std::size_t paths_explored = 0;
 
   std::function<void(std::uint32_t)> walk = [&](std::uint32_t node) {
@@ -396,11 +393,11 @@ std::vector<ReservationPlan> enumerate_plans(const Qrg& qrg,
       plan.steps.reserve(stack.size());
       double bottleneck = -1.0;
       for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-        const QrgEdge& edge = **it;
+        const QrgEdge& edge = qrg.edge(*it);
         const QrgNode& out = qrg.node(edge.to);
         const QrgNode& in = qrg.node(edge.from);
         plan.steps.push_back(PlanStep{out.component, in.level, out.level,
-                                      edge.requirement, edge.psi});
+                                      qrg.requirement(*it), edge.psi});
         if (edge.psi > bottleneck) {
           bottleneck = edge.psi;
           plan.bottleneck_resource = edge.bottleneck;
@@ -415,7 +412,7 @@ std::vector<ReservationPlan> enumerate_plans(const Qrg& qrg,
     }
     for (std::uint32_t e : qrg.in_edges(node)) {
       const QrgEdge& edge = qrg.edge(e);
-      if (edge.is_translation) stack.push_back(&edge);
+      if (edge.is_translation) stack.push_back(e);
       walk(edge.from);
       if (edge.is_translation) stack.pop_back();
     }

@@ -6,143 +6,118 @@ namespace qres {
 
 Qrg::Qrg(const ServiceDefinition& service, const AvailabilityView& availability,
          PsiKind psi_kind, double scale)
-    : service_(&service), psi_kind_(psi_kind) {
+    : service_(&service),
+      compiled_(&service.compiled()),
+      psi_kind_(psi_kind),
+      scale_(scale) {
   QRES_REQUIRE(scale > 0.0, "Qrg: requirement scale must be positive");
+  const CompiledService& compiled = *compiled_;
+  const std::uint32_t nodes = compiled.node_count();
+  const std::uint32_t candidates = compiled.candidate_count();
+  const std::uint32_t first_edge = compiled.equivalence_count();
+  const std::vector<SlotObservation> slots = compiled.observe(availability);
 
-  node_index_.resize(service.component_count(), {QrgEdge::kNone, QrgEdge::kNone});
-
-  // Create nodes: components in topological order, inputs before outputs,
-  // so sequential labels match the paper's figures.
-  for (ComponentIndex c : service.topological_order()) {
-    const std::size_t in_count = service.in_level_count(c);
-    node_index_[c].first = static_cast<std::uint32_t>(nodes_.size());
-    for (LevelIndex i = 0; i < in_count; ++i) add_node(c, QrgNodeKind::kIn, i);
-    node_index_[c].second = static_cast<std::uint32_t>(nodes_.size());
-    const std::size_t out_count = service.component(c).out_level_count();
-    for (LevelIndex o = 0; o < out_count; ++o)
-      add_node(c, QrgNodeKind::kOut, o);
-  }
-  source_node_ = node_of(service.source(), QrgNodeKind::kIn, 0);
-
-  // Equivalence edges: one per (input node, predecessor) pair.
-  for (ComponentIndex c : service.topological_order()) {
-    const auto& preds = service.predecessors(c);
-    if (preds.empty()) continue;
-    const std::size_t in_count = service.in_level_count(c);
-    for (LevelIndex flat = 0; flat < in_count; ++flat) {
-      const std::vector<LevelIndex> combo = service.in_level_combo(c, flat);
-      for (std::size_t p = 0; p < preds.size(); ++p) {
-        QrgEdge edge;
-        edge.from = node_of(preds[p], QrgNodeKind::kOut, combo[p]);
-        edge.to = node_of(c, QrgNodeKind::kIn, flat);
-        edge.is_translation = false;
-        add_edge(edge);
-      }
+  // One pass over the candidates, in order: weigh each against the
+  // snapshot and number the feasible ones.
+  translations_.reserve(candidates);
+  candidate_of_.reserve(candidates);
+  edge_of_candidate_.assign(candidates, QrgEdge::kNone);
+  out_first_.resize(nodes + 1);
+  in_translations_.resize(candidates);
+  in_degree_.assign(nodes, 0);
+  for (std::uint32_t v = 0; v < nodes; ++v) {
+    out_first_[v] = static_cast<std::uint32_t>(translations_.size());
+    for (std::uint32_t k = compiled.candidates_from(v);
+         k < compiled.candidates_from(v + 1); ++k) {
+      const EdgeWeight weight = weigh_requirement(
+          compiled.requirement_slots(k), compiled.requirement_amounts(k),
+          scale, slots.data(), psi_kind);
+      QRES_REQUIRE(weight.missing == EdgeWeight::kNoSlot,
+                   "Qrg: availability snapshot is missing a resource "
+                   "referenced by component '" +
+                       service.component(compiled.node(v).component).name() +
+                       "'");
+      if (!weight.feasible) continue;
+      const CompiledService::Candidate& candidate = compiled.candidate(k);
+      const auto e =
+          first_edge + static_cast<std::uint32_t>(translations_.size());
+      edge_of_candidate_[k] = e;
+      candidate_of_.push_back(k);
+      translations_.push_back(QrgEdge{candidate.from, candidate.to, weight.psi,
+                                      weight.alpha,
+                                      compiled.slot_resource(weight.bottleneck),
+                                      true});
+      in_translations_[compiled.candidate_in_offset(candidate.to) +
+                       in_degree_[candidate.to]++] = e;
     }
   }
+  out_first_[nodes] = static_cast<std::uint32_t>(translations_.size());
 
-  // Translation edges: feasible (input, output) operating points.
-  for (ComponentIndex c : service.topological_order()) {
-    const ServiceComponent& component = service.component(c);
-    const std::size_t in_count = service.in_level_count(c);
-    for (LevelIndex in = 0; in < in_count; ++in) {
-      for (LevelIndex out = 0; out < component.out_level_count(); ++out) {
-        const auto base = component.requirement(in, out);
-        if (!base) continue;  // operating point not realizable
-        const ResourceVector req = base->scaled(scale);
-        double psi = 0.0;
-        double alpha = 1.0;
-        ResourceId bottleneck;
-        bool feasible = true;
-        for (const auto& [rid, amount] : req) {
-          QRES_REQUIRE(availability.contains(rid),
-                       "Qrg: availability snapshot is missing a resource "
-                       "referenced by component '" +
-                           component.name() + "'");
-          const ResourceObservation& obs = availability.get(rid);
-          if (amount > obs.available || obs.available <= 0.0) {
-            feasible = false;
-            break;
-          }
-          const double index = contention_index(psi_kind_, amount, obs.available);
-          if (!bottleneck.valid() || index > psi) {
-            psi = index;
-            alpha = obs.alpha;
-            bottleneck = rid;
-          }
-        }
-        if (!feasible) continue;
-        QrgEdge edge;
-        edge.from = node_of(c, QrgNodeKind::kIn, in);
-        edge.to = node_of(c, QrgNodeKind::kOut, out);
-        edge.psi = psi;
-        edge.alpha = alpha;
-        edge.bottleneck = bottleneck;
-        edge.requirement = req;
-        edge.is_translation = true;
-        add_edge(edge);
-      }
-    }
-  }
-
-  // Sinks, best rank first.
+  // Sinks, best rank first, from the service's current ranking.
+  const std::uint32_t sink_base = compiled.out_base(service.sink());
   ranked_sinks_.reserve(service.end_to_end_ranking().size());
   for (LevelIndex level : service.end_to_end_ranking())
-    ranked_sinks_.push_back(node_of(service.sink(), QrgNodeKind::kOut, level));
-}
-
-std::uint32_t Qrg::add_node(ComponentIndex component, QrgNodeKind kind,
-                            LevelIndex level) {
-  nodes_.push_back(QrgNode{component, kind, level});
-  in_edges_.emplace_back();
-  out_edges_.emplace_back();
-  return static_cast<std::uint32_t>(nodes_.size() - 1);
-}
-
-void Qrg::add_edge(QrgEdge edge) {
-  const auto index = static_cast<std::uint32_t>(edges_.size());
-  in_edges_[edge.to].push_back(index);
-  out_edges_[edge.from].push_back(index);
-  edges_.push_back(std::move(edge));
+    ranked_sinks_.push_back(sink_base + level);
 }
 
 const QrgNode& Qrg::node(std::uint32_t index) const {
-  QRES_REQUIRE(index < nodes_.size(), "Qrg::node: index out of range");
-  return nodes_[index];
+  QRES_REQUIRE(index < node_count(), "Qrg::node: index out of range");
+  return compiled_->node(index);
 }
 
 const QrgEdge& Qrg::edge(std::uint32_t index) const {
-  QRES_REQUIRE(index < edges_.size(), "Qrg::edge: index out of range");
-  return edges_[index];
+  QRES_REQUIRE(index < edge_count(), "Qrg::edge: index out of range");
+  const std::uint32_t first = compiled_->equivalence_count();
+  return index < first ? compiled_->equivalence(index)
+                       : translations_[index - first];
+}
+
+ResourceVector Qrg::requirement(std::uint32_t index) const {
+  QRES_REQUIRE(index < edge_count(), "Qrg::requirement: index out of range");
+  const std::uint32_t first = compiled_->equivalence_count();
+  if (index < first) return {};
+  return compiled_->requirement(candidate_of_[index - first], scale_);
 }
 
 std::uint32_t Qrg::node_of(ComponentIndex component, QrgNodeKind kind,
                            LevelIndex level) const {
-  QRES_REQUIRE(component < node_index_.size(),
+  QRES_REQUIRE(component < service_->component_count(),
                "Qrg::node_of: component out of range");
-  const auto [in_base, out_base] = node_index_[component];
   if (kind == QrgNodeKind::kIn) {
     QRES_REQUIRE(level < service_->in_level_count(component),
                  "Qrg::node_of: input level out of range");
-    return in_base + level;
+    return compiled_->in_base(component) + level;
   }
   QRES_REQUIRE(level < service_->component(component).out_level_count(),
                "Qrg::node_of: output level out of range");
-  return out_base + level;
+  return compiled_->out_base(component) + level;
 }
 
-const std::vector<std::uint32_t>& Qrg::in_edges(std::uint32_t node) const {
-  QRES_REQUIRE(node < in_edges_.size(), "Qrg::in_edges: node out of range");
-  return in_edges_[node];
+std::span<const std::uint32_t> Qrg::in_edges(std::uint32_t node) const {
+  QRES_REQUIRE(node < node_count(), "Qrg::in_edges: node out of range");
+  if (compiled_->node(node).kind == QrgNodeKind::kIn)
+    return compiled_->equivalence_in(node);
+  return {in_translations_.data() + compiled_->candidate_in_offset(node),
+          in_degree_[node]};
 }
 
-const std::vector<std::uint32_t>& Qrg::out_edges(std::uint32_t node) const {
-  QRES_REQUIRE(node < out_edges_.size(), "Qrg::out_edges: node out of range");
-  return out_edges_[node];
+std::span<const std::uint32_t> Qrg::out_edges(std::uint32_t node) const {
+  QRES_REQUIRE(node < node_count(), "Qrg::out_edges: node out of range");
+  if (compiled_->node(node).kind == QrgNodeKind::kOut)
+    return compiled_->equivalence_out(node);
+  return compiled_->edge_ids(compiled_->equivalence_count() + out_first_[node],
+                             out_first_[node + 1] - out_first_[node]);
+}
+
+std::span<const LevelIndex> Qrg::in_combo(std::uint32_t in_node) const {
+  QRES_REQUIRE(in_node < node_count() &&
+                   compiled_->node(in_node).kind == QrgNodeKind::kIn,
+               "Qrg::in_combo: not an input node");
+  return compiled_->combo(in_node);
 }
 
 std::string Qrg::node_name(std::uint32_t index) const {
-  QRES_REQUIRE(index < nodes_.size(), "Qrg::node_name: index out of range");
+  QRES_REQUIRE(index < node_count(), "Qrg::node_name: index out of range");
   return label(index);
 }
 
@@ -160,10 +135,25 @@ std::string Qrg::label(std::uint32_t index) {
 
 std::uint32_t Qrg::find_edge(std::uint32_t from,
                              std::uint32_t to) const noexcept {
-  if (from >= nodes_.size() || to >= nodes_.size()) return QrgEdge::kNone;
-  for (std::uint32_t e : out_edges_[from])
-    if (edges_[e].to == to) return e;
+  if (from >= node_count() || to >= node_count()) return QrgEdge::kNone;
+  const QrgNode& tail = compiled_->node(from);
+  const QrgNode& head = compiled_->node(to);
+  if (tail.kind == QrgNodeKind::kIn) {
+    if (head.kind != QrgNodeKind::kOut || head.component != tail.component)
+      return QrgEdge::kNone;
+    const std::uint32_t k =
+        compiled_->candidate_of(tail.component, tail.level, head.level);
+    return k == QrgEdge::kNone ? QrgEdge::kNone : edge_of_candidate_[k];
+  }
+  for (std::uint32_t e : compiled_->equivalence_out(from))
+    if (compiled_->equivalence(e).to == to) return e;
   return QrgEdge::kNone;
+}
+
+std::uint32_t Qrg::translation_edge(ComponentIndex component, LevelIndex in,
+                                    LevelIndex out) const {
+  return find_edge(node_of(component, QrgNodeKind::kIn, in),
+                   node_of(component, QrgNodeKind::kOut, out));
 }
 
 }  // namespace qres

@@ -20,46 +20,27 @@
 // Nodes are created components-in-topological-order, input levels before
 // output levels, and named "Qa", "Qb", ... in creation order — matching
 // the labeling of the paper's figures 4/5 and tables 1/2.
+//
+// Only translation-edge feasibility and weights depend on the snapshot.
+// Everything else — nodes, equivalence edges, candidate operating points
+// and their base requirements — is compiled once per service
+// (core/compiled_service.hpp); a Qrg is the per-session view that weighs
+// the compiled candidates against one snapshot. Edge indices: equivalence
+// edges first, then the feasible translation edges in (component,
+// input, output) order.
 #pragma once
 
 #include <cstdint>
-#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/availability.hpp"
+#include "core/compiled_service.hpp"
 #include "core/psi.hpp"
 #include "core/service.hpp"
 
 namespace qres {
-
-enum class QrgNodeKind : std::uint8_t { kIn, kOut };
-
-struct QrgNode {
-  ComponentIndex component = 0;
-  QrgNodeKind kind = QrgNodeKind::kIn;
-  /// Output-level index for kOut nodes; flat input-level index for kIn
-  /// nodes (see ServiceDefinition's input-level convention).
-  LevelIndex level = 0;
-};
-
-struct QrgEdge {
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  std::uint32_t from = kNone;
-  std::uint32_t to = kNone;
-  /// Contention-index weight Psi (eq. 3); zero for equivalence edges.
-  double psi = 0.0;
-  /// Availability change index of the edge's bottleneck resource; 1.0 for
-  /// equivalence edges.
-  double alpha = 1.0;
-  /// Resource attaining the max in eq. 3; invalid for equivalence edges.
-  ResourceId bottleneck;
-  /// The translated requirement R^req; empty for equivalence edges.
-  ResourceVector requirement;
-  /// True for translation (in->out) edges, false for equivalence edges.
-  bool is_translation = false;
-};
 
 class Qrg {
  public:
@@ -74,16 +55,28 @@ class Qrg {
       PsiKind psi_kind = PsiKind::kRatio, double scale = 1.0);
 
   const ServiceDefinition& service() const noexcept { return *service_; }
+  const CompiledService& compiled() const noexcept { return *compiled_; }
   PsiKind psi_kind() const noexcept { return psi_kind_; }
+  double scale() const noexcept { return scale_; }
 
-  std::size_t node_count() const noexcept { return nodes_.size(); }
-  std::size_t edge_count() const noexcept { return edges_.size(); }
+  std::size_t node_count() const noexcept { return compiled_->node_count(); }
+  /// Equivalence edges plus the translation edges feasible under this
+  /// snapshot.
+  std::size_t edge_count() const noexcept {
+    return compiled_->equivalence_count() + translations_.size();
+  }
 
   const QrgNode& node(std::uint32_t index) const;
   const QrgEdge& edge(std::uint32_t index) const;
 
+  /// The translated (session-scaled) requirement R^req of an edge; empty
+  /// for equivalence edges. Materialized on each call.
+  ResourceVector requirement(std::uint32_t edge) const;
+
   /// Index of the single source node (the source component's input level).
-  std::uint32_t source_node() const noexcept { return source_node_; }
+  std::uint32_t source_node() const noexcept {
+    return compiled_->source_node();
+  }
 
   /// Node index for a component's input (flat) or output level.
   std::uint32_t node_of(ComponentIndex component, QrgNodeKind kind,
@@ -95,9 +88,13 @@ class Qrg {
     return ranked_sinks_;
   }
 
-  /// Edge indices entering / leaving a node.
-  const std::vector<std::uint32_t>& in_edges(std::uint32_t node) const;
-  const std::vector<std::uint32_t>& out_edges(std::uint32_t node) const;
+  /// Edge indices entering / leaving a node, ascending.
+  std::span<const std::uint32_t> in_edges(std::uint32_t node) const;
+  std::span<const std::uint32_t> out_edges(std::uint32_t node) const;
+
+  /// The fan-in combo of an input node: one output level per predecessor
+  /// (ServiceDefinition::in_level_combo, precomputed).
+  std::span<const LevelIndex> in_combo(std::uint32_t in_node) const;
 
   /// Paper-style node label: "Qa", "Qb", ..., "Qz", "Qaa", ...
   std::string node_name(std::uint32_t index) const;
@@ -106,24 +103,31 @@ class Qrg {
   /// label, spreadsheet base-26).
   static std::string label(std::uint32_t index);
 
-  /// Index of the translation edge between two nodes, or QrgEdge::kNone.
+  /// Index of the edge between two nodes, or QrgEdge::kNone.
   std::uint32_t find_edge(std::uint32_t from, std::uint32_t to) const noexcept;
 
- private:
-  std::uint32_t add_node(ComponentIndex component, QrgNodeKind kind,
-                         LevelIndex level);
-  void add_edge(QrgEdge edge);
+  /// Translation edge of operating point (component, flat input level,
+  /// output level), or QrgEdge::kNone when it is not realizable or not
+  /// feasible under this snapshot. O(1).
+  std::uint32_t translation_edge(ComponentIndex component, LevelIndex in,
+                                 LevelIndex out) const;
 
+ private:
   const ServiceDefinition* service_;
+  const CompiledService* compiled_;
   PsiKind psi_kind_;
-  std::vector<QrgNode> nodes_;
-  std::vector<QrgEdge> edges_;
-  std::vector<std::vector<std::uint32_t>> in_edges_;
-  std::vector<std::vector<std::uint32_t>> out_edges_;
-  /// node_index_[component] -> {first input-node index, first output-node
-  /// index}; nodes of one component are contiguous.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> node_index_;
-  std::uint32_t source_node_ = 0;
+  double scale_;
+  /// Feasible translation edges; edge index = equivalence_count + position.
+  std::vector<QrgEdge> translations_;
+  std::vector<std::uint32_t> candidate_of_;       // per translation edge
+  std::vector<std::uint32_t> edge_of_candidate_;  // or QrgEdge::kNone
+  /// Per node, translations_ positions of the first translation edge out
+  /// of it (node_count + 1 entries).
+  std::vector<std::uint32_t> out_first_;
+  /// Feasible translation in-edges of each output node, packed at the
+  /// compiled candidate_in_offset; in_degree_ counts them.
+  std::vector<std::uint32_t> in_translations_;
+  std::vector<std::uint32_t> in_degree_;
   std::vector<std::uint32_t> ranked_sinks_;
 };
 

@@ -37,9 +37,7 @@ PlanResult RandomPlanner::plan_dag(const Qrg& qrg, Rng& rng) const {
         combo[j] = assignment[preds[j]];
       const LevelIndex flat =
           preds.empty() ? 0 : service.flatten_in_level(c, combo);
-      if (qrg.find_edge(qrg.node_of(c, QrgNodeKind::kIn, flat),
-                        qrg.node_of(c, QrgNodeKind::kOut, assignment[c])) ==
-          QrgEdge::kNone) {
+      if (qrg.translation_edge(c, flat, assignment[c]) == QrgEdge::kNone) {
         ok = false;
         break;
       }
@@ -83,13 +81,11 @@ PlanResult RandomPlanner::plan_dag(const Qrg& qrg, Rng& rng) const {
       combo[j] = assignment[preds[j]];
     const LevelIndex flat =
         preds.empty() ? 0 : service.flatten_in_level(c, combo);
-    const std::uint32_t e =
-        qrg.find_edge(qrg.node_of(c, QrgNodeKind::kIn, flat),
-                      qrg.node_of(c, QrgNodeKind::kOut, assignment[c]));
+    const std::uint32_t e = qrg.translation_edge(c, flat, assignment[c]);
     QRES_ASSERT(e != QrgEdge::kNone);
     const QrgEdge& edge = qrg.edge(e);
     plan.steps.push_back(
-        PlanStep{c, flat, assignment[c], edge.requirement, edge.psi});
+        PlanStep{c, flat, assignment[c], qrg.requirement(e), edge.psi});
     if (edge.psi > bottleneck) {
       bottleneck = edge.psi;
       plan.bottleneck_resource = edge.bottleneck;
@@ -135,17 +131,18 @@ PlanResult RandomPlanner::plan(const Qrg& qrg, Rng& rng) const {
   double bottleneck_psi = -1.0;
   std::uint32_t v = sink_node;
   while (v != qrg.source_node()) {
-    const auto& incoming = qrg.in_edges(v);
+    const auto incoming = qrg.in_edges(v);
     std::vector<double> weights;
     weights.reserve(incoming.size());
     for (std::uint32_t e : incoming)
       weights.push_back(static_cast<double>(count[qrg.edge(e).from]));
-    const QrgEdge& edge = qrg.edge(incoming[rng.categorical(weights)]);
+    const std::uint32_t chosen = incoming[rng.categorical(weights)];
+    const QrgEdge& edge = qrg.edge(chosen);
     if (edge.is_translation) {
       const QrgNode& out = qrg.node(edge.to);
       const QrgNode& in = qrg.node(edge.from);
       plan.steps[out.component] =
-          PlanStep{out.component, in.level, out.level, edge.requirement,
+          PlanStep{out.component, in.level, out.level, qrg.requirement(chosen),
                    edge.psi};
       if (edge.psi > bottleneck_psi) {
         bottleneck_psi = edge.psi;

@@ -1,11 +1,18 @@
 #include "core/service.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 
+#include "core/compiled_service.hpp"
 #include "util/assert.hpp"
 
 namespace qres {
+
+struct ServiceDefinition::CompileCache {
+  std::once_flag once;
+  std::unique_ptr<const CompiledService> compiled;
+};
 
 ServiceDefinition::ServiceDefinition(
     std::string name, std::vector<ServiceComponent> components,
@@ -13,7 +20,8 @@ ServiceDefinition::ServiceDefinition(
     QoSVector source_quality)
     : name_(std::move(name)),
       components_(std::move(components)),
-      source_quality_(std::move(source_quality)) {
+      source_quality_(std::move(source_quality)),
+      cache_(std::make_unique<CompileCache>()) {
   QRES_REQUIRE(!name_.empty(), "ServiceDefinition: name must be non-empty");
   QRES_REQUIRE(!components_.empty(),
                "ServiceDefinition: at least one component required");
@@ -71,6 +79,38 @@ ServiceDefinition::ServiceDefinition(
   ranking_.resize(components_[sink_].out_level_count());
   for (std::size_t i = 0; i < ranking_.size(); ++i)
     ranking_[i] = static_cast<LevelIndex>(i);
+}
+
+ServiceDefinition::ServiceDefinition(const ServiceDefinition& other)
+    : name_(other.name_),
+      components_(other.components_),
+      preds_(other.preds_),
+      succs_(other.succs_),
+      topo_order_(other.topo_order_),
+      source_quality_(other.source_quality_),
+      source_(other.source_),
+      sink_(other.sink_),
+      is_chain_(other.is_chain_),
+      ranking_(other.ranking_),
+      cache_(std::make_unique<CompileCache>()) {}
+
+ServiceDefinition& ServiceDefinition::operator=(
+    const ServiceDefinition& other) {
+  if (this != &other) *this = ServiceDefinition(other);
+  return *this;
+}
+
+ServiceDefinition::ServiceDefinition(ServiceDefinition&&) noexcept = default;
+ServiceDefinition& ServiceDefinition::operator=(ServiceDefinition&&) noexcept =
+    default;
+ServiceDefinition::~ServiceDefinition() = default;
+
+const CompiledService& ServiceDefinition::compiled() const {
+  QRES_REQUIRE(cache_ != nullptr, "ServiceDefinition: moved-from definition");
+  std::call_once(cache_->once, [this] {
+    cache_->compiled = std::make_unique<const CompiledService>(*this);
+  });
+  return *cache_->compiled;
 }
 
 const ServiceComponent& ServiceDefinition::component(

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,8 @@ namespace qres {
 
 /// Index of a component within a ServiceDefinition.
 using ComponentIndex = std::uint32_t;
+
+class CompiledService;
 
 class ServiceDefinition {
  public:
@@ -43,10 +46,21 @@ class ServiceDefinition {
                     std::vector<std::pair<ComponentIndex, ComponentIndex>> edges,
                     QoSVector source_quality);
 
+  /// A copy starts uncompiled (its first Qrg compiles it again); a move
+  /// keeps the compiled form.
+  ServiceDefinition(const ServiceDefinition& other);
+  ServiceDefinition& operator=(const ServiceDefinition& other);
+  ServiceDefinition(ServiceDefinition&&) noexcept;
+  ServiceDefinition& operator=(ServiceDefinition&&) noexcept;
+  ~ServiceDefinition();
+
   const std::string& name() const noexcept { return name_; }
 
   std::size_t component_count() const noexcept { return components_.size(); }
   const ServiceComponent& component(ComponentIndex index) const;
+  /// Mutable access is for host placement (ServiceComponent::set_host);
+  /// what the compiled form captures — levels and translations — must not
+  /// change once a Qrg of this service exists.
   ServiceComponent& component(ComponentIndex index);
 
   const QoSVector& source_quality() const noexcept { return source_quality_; }
@@ -93,12 +107,19 @@ class ServiceDefinition {
   }
 
   /// Replaces the ranking; must be a permutation of the sink's output
-  /// level indices.
+  /// level indices. Legal at any time: a Qrg reads the ranking when it is
+  /// built, not from the compiled form.
   void set_end_to_end_ranking(std::vector<LevelIndex> ranking);
 
   /// Rank position of a sink output level (0 = best). Requires the level
   /// to exist.
   std::size_t rank_of(LevelIndex sink_level) const;
+
+  /// The snapshot-independent part of this service's QRG
+  /// (core/compiled_service.hpp). Built on the first call, exactly once
+  /// even when several threads make the first Qrgs of the service at the
+  /// same time; the reference stays valid for the definition's lifetime.
+  const CompiledService& compiled() const;
 
  private:
   std::string name_;
@@ -111,6 +132,8 @@ class ServiceDefinition {
   ComponentIndex sink_ = 0;
   bool is_chain_ = true;
   std::vector<LevelIndex> ranking_;
+  struct CompileCache;
+  std::unique_ptr<CompileCache> cache_;
 };
 
 }  // namespace qres

@@ -11,13 +11,17 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-ComponentAgent::ComponentAgent(const ServiceComponent* component,
+ComponentAgent::ComponentAgent(const ServiceDefinition* service,
+                               ComponentIndex index,
                                std::vector<ResourceId> local_footprint,
                                BrokerRegistry* registry)
-    : component_(component),
+    : service_(service),
+      index_(index),
       footprint_(std::move(local_footprint)),
       registry_(registry) {
-  QRES_REQUIRE(component != nullptr, "ComponentAgent: null component");
+  QRES_REQUIRE(service != nullptr, "ComponentAgent: null service");
+  QRES_REQUIRE(index < service->component_count(),
+               "ComponentAgent: component out of range");
   QRES_REQUIRE(registry != nullptr, "ComponentAgent: null registry");
   QRES_REQUIRE(!footprint_.empty(), "ComponentAgent: empty footprint");
 }
@@ -28,65 +32,63 @@ ForwardMessage ComponentAgent::forward(const ForwardMessage& upstream,
                                        const PlannerOptions& options) {
   QRES_REQUIRE(!upstream.out_labels.empty(),
                "ComponentAgent::forward: empty upstream frontier");
+  QRES_REQUIRE(scale >= 0.0, "ComponentAgent::forward: negative scale");
   chosen_.reset();
-  // Local availability observation (phase-1 equivalent, but local only).
-  const AvailabilityView view = registry_->collect(footprint_, now);
+  scale_ = scale;
+  // Local availability observation (phase-1 equivalent, but local only):
+  // resources outside the footprint stay missing.
+  const CompiledService& compiled = service_->compiled();
+  const std::vector<SlotObservation> slots =
+      compiled.observe(registry_->collect(footprint_, now));
 
-  const std::size_t in_count = upstream.out_labels.size();
-  const std::size_t out_count = component_->out_level_count();
+  const std::uint32_t in_base = compiled.in_base(index_);
+  const std::uint32_t out_base = compiled.out_base(index_);
+  QRES_REQUIRE(upstream.out_labels.size() == out_base - in_base,
+               "ComponentAgent::forward: frontier does not match the "
+               "component's input levels");
+  const std::size_t out_count =
+      service_->component(index_).out_level_count();
   out_states_.assign(out_count, OutState{});
   std::vector<double> best_edge_psi(out_count, kInf);
 
-  for (LevelIndex in = 0; in < in_count; ++in) {
+  // The component's operating points, in (input, output) order.
+  for (std::uint32_t k = compiled.candidates_from(in_base);
+       k < compiled.candidates_from(out_base); ++k) {
+    const CompiledService::Candidate& candidate = compiled.candidate(k);
+    const LevelIndex in = candidate.from - in_base;
+    const LevelIndex out = candidate.to - out_base;
     const FrontierLabel& in_label = upstream.out_labels[in];
     if (!in_label.reachable) continue;
-    for (LevelIndex out = 0; out < out_count; ++out) {
-      const auto base = component_->requirement(in, out);
-      if (!base) continue;
-      const ResourceVector requirement = base->scaled(scale);
-      double psi = 0.0;
-      double alpha = 1.0;
-      ResourceId bottleneck;
-      bool feasible = true;
-      for (const auto& [rid, amount] : requirement) {
-        QRES_REQUIRE(view.contains(rid),
-                     "ComponentAgent: translation references a resource "
-                     "outside the local footprint");
-        const ResourceObservation& obs = view.get(rid);
-        if (amount > obs.available || obs.available <= 0.0) {
-          feasible = false;
-          break;
-        }
-        const double index = contention_index(psi_kind, amount, obs.available);
-        if (!bottleneck.valid() || index > psi) {
-          psi = index;
-          alpha = obs.alpha;
-          bottleneck = rid;
-        }
-      }
-      if (!feasible) continue;
+    const EdgeWeight weight = weigh_requirement(
+        compiled.requirement_slots(k), compiled.requirement_amounts(k), scale,
+        slots.data(), psi_kind);
+    QRES_REQUIRE(weight.missing == EdgeWeight::kNoSlot,
+                 "ComponentAgent: translation references a resource "
+                 "outside the local footprint");
+    if (!weight.feasible) continue;
 
-      const double candidate = std::max(in_label.value, psi);
-      OutState& state = out_states_[out];
-      bool better = !state.label.reachable || candidate < state.label.value;
-      if (!better && options.use_tie_break && state.label.reachable &&
-          candidate == state.label.value)
-        better = psi < best_edge_psi[out];
-      if (!better) continue;
-      state.label.reachable = true;
-      state.label.value = candidate;
-      if (psi >= in_label.value) {
-        state.label.bottleneck = bottleneck;
-        state.label.alpha = alpha;
-      } else {
-        state.label.bottleneck = in_label.bottleneck;
-        state.label.alpha = in_label.alpha;
-      }
-      state.pred_in = in;
-      state.requirement = requirement;
-      state.edge_psi = psi;
-      best_edge_psi[out] = psi;
+    const double psi = weight.psi;
+    const double candidate_value = std::max(in_label.value, psi);
+    OutState& state = out_states_[out];
+    bool better =
+        !state.label.reachable || candidate_value < state.label.value;
+    if (!better && options.use_tie_break && state.label.reachable &&
+        candidate_value == state.label.value)
+      better = psi < best_edge_psi[out];
+    if (!better) continue;
+    state.label.reachable = true;
+    state.label.value = candidate_value;
+    if (psi >= in_label.value) {
+      state.label.bottleneck = compiled.slot_resource(weight.bottleneck);
+      state.label.alpha = weight.alpha;
+    } else {
+      state.label.bottleneck = in_label.bottleneck;
+      state.label.alpha = in_label.alpha;
     }
+    state.pred_in = in;
+    state.candidate = k;
+    state.edge_psi = psi;
+    best_edge_psi[out] = psi;
   }
 
   ForwardMessage message;
@@ -103,10 +105,10 @@ BackwardMessage ComponentAgent::backward(const BackwardMessage& demand) {
   QRES_REQUIRE(state.label.reachable,
                "ComponentAgent::backward: demanded level is unreachable");
   PlanStep step;
-  step.component = index_in_service_;
+  step.component = index_;
   step.in_level = state.pred_in;
   step.out_level = demand.demanded_out;
-  step.requirement = state.requirement;
+  step.requirement = service_->compiled().requirement(state.candidate, scale_);
   step.psi = state.edge_psi;
   chosen_ = step;
   return BackwardMessage{state.pred_in};
@@ -161,11 +163,8 @@ DistributedSession::DistributedSession(
   QRES_REQUIRE(per_component_footprint.size() == service->component_count(),
                "DistributedSession: one footprint per component required");
   agents_.reserve(service->component_count());
-  for (ComponentIndex c : service->topological_order()) {
-    agents_.emplace_back(&service->component(c),
-                         per_component_footprint[c], registry);
-    agents_.back().index_in_service_ = c;
-  }
+  for (ComponentIndex c : service->topological_order())
+    agents_.emplace_back(service, c, per_component_footprint[c], registry);
 }
 
 void DistributedSession::attach_faults(IControlTransport* transport) {
@@ -183,7 +182,7 @@ void DistributedSession::enable_leases(double lease_duration) {
 }
 
 HostId DistributedSession::agent_host(std::size_t i) const {
-  return agents_[i].component_->host();
+  return agents_[i].service_->component(agents_[i].index_).host();
 }
 
 bool DistributedSession::protocol_exchange(HostId from, HostId to,

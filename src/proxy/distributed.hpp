@@ -63,7 +63,8 @@ struct BackwardMessage {
 /// host's own brokers only.
 class ComponentAgent {
  public:
-  ComponentAgent(const ServiceComponent* component,
+  /// The agent of component `index` of `service`.
+  ComponentAgent(const ServiceDefinition* service, ComponentIndex index,
                  std::vector<ResourceId> local_footprint,
                  BrokerRegistry* registry);
 
@@ -92,19 +93,20 @@ class ComponentAgent {
   void release(SessionId session, double now);
 
  private:
-  const ServiceComponent* component_;
+  const ServiceDefinition* service_;
+  ComponentIndex index_;
   std::vector<ResourceId> footprint_;
   BrokerRegistry* registry_;
-  ComponentIndex index_in_service_ = 0;  // set by DistributedSession
 
   // Per-output-level working state recorded by forward().
   struct OutState {
     FrontierLabel label;
     LevelIndex pred_in = 0;
-    ResourceVector requirement;
+    std::uint32_t candidate = 0;  ///< the compiled operating point
     double edge_psi = 0.0;
   };
   std::vector<OutState> out_states_;
+  double scale_ = 1.0;  ///< of the last forward()
   std::optional<PlanStep> chosen_;
 
   friend class DistributedSession;

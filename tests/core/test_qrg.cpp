@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "../test_helpers.hpp"
+#include "core/planner.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qres {
 namespace {
@@ -116,7 +122,7 @@ TEST(Qrg, SessionScaleMultipliesRequirements) {
   const std::uint32_t e2 = scaled2.find_edge(
       scaled2.source_node(), scaled2.node_of(0, QrgNodeKind::kOut, 1));
   ASSERT_NE(e2, QrgEdge::kNone);
-  EXPECT_DOUBLE_EQ(scaled2.edge(e2).requirement.get(cpu), 8.0);
+  EXPECT_DOUBLE_EQ(scaled2.requirement(e2).get(cpu), 8.0);
 }
 
 TEST(Qrg, EquivalenceEdgesAreZeroWeight) {
@@ -128,7 +134,7 @@ TEST(Qrg, EquivalenceEdgesAreZeroWeight) {
   ASSERT_NE(e, QrgEdge::kNone);
   EXPECT_EQ(qrg.edge(e).psi, 0.0);
   EXPECT_FALSE(qrg.edge(e).is_translation);
-  EXPECT_TRUE(qrg.edge(e).requirement.empty());
+  EXPECT_TRUE(qrg.requirement(e).empty());
 }
 
 TEST(Qrg, AlphaPropagatesFromObservation) {
@@ -155,6 +161,121 @@ TEST(Qrg, RankedSinksFollowServiceRanking) {
   ASSERT_EQ(qrg.ranked_sink_nodes().size(), 2u);
   EXPECT_EQ(qrg.node(qrg.ranked_sink_nodes()[0]).level, 1u);
   EXPECT_EQ(qrg.node(qrg.ranked_sink_nodes()[1]).level, 0u);
+}
+
+TEST(Qrg, RankingChangedAfterCompilationIsFollowed) {
+  ServiceDefinition service = two_chain();
+  const AvailabilityView view = avail({{cpu, 100}, {bw, 100}});
+  Rng rng(1);
+  const PlanResult first = BasicPlanner().plan(Qrg(service, view), rng);
+  ASSERT_TRUE(first.plan.has_value());
+  EXPECT_EQ(first.plan->end_to_end_level, 0u);
+
+  // The ranking is read when a Qrg is built, not frozen at compilation.
+  service.set_end_to_end_ranking({1, 0});
+  const Qrg qrg(service, view);
+  EXPECT_EQ(&qrg.compiled(), &service.compiled());
+  ASSERT_EQ(qrg.ranked_sink_nodes().size(), 2u);
+  EXPECT_EQ(qrg.node(qrg.ranked_sink_nodes()[0]).level, 1u);
+  EXPECT_EQ(qrg.node(qrg.ranked_sink_nodes()[1]).level, 0u);
+  const PlanResult second = BasicPlanner().plan(qrg, rng);
+  ASSERT_TRUE(second.plan.has_value());
+  EXPECT_EQ(second.plan->end_to_end_level, 1u);
+  EXPECT_EQ(second.plan->end_to_end_rank, 0u);
+}
+
+TEST(Qrg, CopiedServiceCompilesAfresh) {
+  const ServiceDefinition service = two_chain();
+  const ServiceDefinition copy = service;
+  const AvailabilityView view = avail({{cpu, 40}, {bw, 100}});
+  const Qrg warm(service, view);
+  const Qrg cold(copy, view);
+  EXPECT_NE(&warm.compiled(), &cold.compiled());
+  ASSERT_EQ(warm.edge_count(), cold.edge_count());
+  for (std::uint32_t e = 0; e < warm.edge_count(); ++e) {
+    EXPECT_EQ(warm.edge(e).from, cold.edge(e).from);
+    EXPECT_EQ(warm.edge(e).to, cold.edge(e).to);
+    EXPECT_EQ(warm.edge(e).psi, cold.edge(e).psi);
+    EXPECT_EQ(warm.requirement(e), cold.requirement(e));
+  }
+}
+
+TEST(QrgConcurrency, FirstQrgsOnPoolWorkersCompileOnce) {
+  // A fresh 6 x 12 chain whose translation calls are counted: compiling
+  // evaluates each (input, output) pair exactly once.
+  constexpr int kComponents = 6;
+  constexpr int kLevels = 12;
+  std::atomic<int> calls{0};
+  std::vector<ServiceComponent> components;
+  std::vector<std::pair<ComponentIndex, ComponentIndex>> edges;
+  int domain = 0;
+  AvailabilityView view;
+  for (int c = 0; c < kComponents; ++c) {
+    const ResourceId r{static_cast<std::uint32_t>(c)};
+    view.set(r, 100.0, 0.5 + 0.1 * c);
+    const int ins = c == 0 ? 1 : kLevels;
+    domain += ins * kLevels;
+    TranslationTable table;
+    for (int in = 0; in < ins; ++in)
+      for (int out = 0; out < kLevels; ++out)
+        if ((in + out) % 3 != 0)
+          table.set(static_cast<LevelIndex>(in), static_cast<LevelIndex>(out),
+                    test::rv({{r, 10.0 + (in * 7 + out * 13) % 80}}));
+    TranslationFn counted = [fn = table.as_function(), &calls](
+                                LevelIndex in, LevelIndex out) {
+      calls.fetch_add(1, std::memory_order_relaxed);
+      return fn(in, out);
+    };
+    components.emplace_back("c" + std::to_string(c), test::levels(kLevels),
+                            std::move(counted));
+    if (c > 0)
+      edges.push_back({static_cast<ComponentIndex>(c - 1),
+                       static_cast<ComponentIndex>(c)});
+  }
+  const ServiceDefinition service("counted", std::move(components),
+                                  std::move(edges), test::q(10));
+
+  constexpr std::size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  std::atomic<std::size_t> arrived{0};
+  std::vector<const CompiledService*> compiled(kWorkers, nullptr);
+  std::vector<std::size_t> edge_counts(kWorkers, 0);
+  std::vector<PlanResult> plans(kWorkers);
+  pool.parallel_for(
+      kWorkers,
+      [&](std::size_t i) {
+        // Rendezvous (bounded) so the first Qrgs really are concurrent.
+        arrived.fetch_add(1);
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < kWorkers &&
+               std::chrono::steady_clock::now() < give_up)
+          std::this_thread::yield();
+        const Qrg qrg(service, view);
+        compiled[i] = &qrg.compiled();
+        edge_counts[i] = qrg.edge_count();
+        Rng rng(7);
+        plans[i] = BasicPlanner().plan(qrg, rng);
+      },
+      1);
+
+  EXPECT_EQ(calls.load(), domain);
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    EXPECT_EQ(compiled[i], &service.compiled());
+    EXPECT_EQ(edge_counts[i], edge_counts[0]);
+    ASSERT_TRUE(plans[i].plan.has_value());
+    const ReservationPlan& a = *plans[i].plan;
+    const ReservationPlan& b = *plans[0].plan;
+    EXPECT_EQ(a.end_to_end_level, b.end_to_end_level);
+    EXPECT_EQ(a.bottleneck_psi, b.bottleneck_psi);
+    ASSERT_EQ(a.steps.size(), b.steps.size());
+    for (std::size_t s = 0; s < a.steps.size(); ++s) {
+      EXPECT_EQ(a.steps[s].in_level, b.steps[s].in_level);
+      EXPECT_EQ(a.steps[s].out_level, b.steps[s].out_level);
+      EXPECT_EQ(a.steps[s].requirement, b.steps[s].requirement);
+    }
+  }
+  EXPECT_EQ(calls.load(), domain);  // planning called no translation
 }
 
 TEST(Qrg, FanInComboNodesGetOneEdgePerPredecessor) {

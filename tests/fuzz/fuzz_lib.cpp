@@ -208,8 +208,12 @@ std::string check_plan_wellformed(const Qrg& qrg,
     if (step.psi != edge.psi)
       return where + "recorded psi " + str(step.psi) +
              " != edge psi " + str(edge.psi);
-    if (!(step.requirement == edge.requirement))
-      return where + "recorded requirement differs from the edge's";
+    // Against the translation function itself, not the compiled form
+    // the QRG was weighed from.
+    const auto base = service.component(c).requirement(step.in_level,
+                                                       step.out_level);
+    if (!base || !(step.requirement == base->scaled(qrg.scale())))
+      return where + "recorded requirement differs from the translation's";
     // Input combo consistency: the step consumes exactly the output
     // levels its predecessors chose.
     const auto& preds = service.predecessors(c);
@@ -486,6 +490,121 @@ std::string check_broker(Rng& rng, int steps) {
   return {};
 }
 
+namespace {
+
+/// Everything a run of one snapshot decides, one field per line: the
+/// QRG's edges (with materialized requirements), the pass-I labels, the
+/// sinks and the plan.
+std::string fingerprint(const Qrg& qrg, const IPlanner& planner,
+                        std::uint64_t seed) {
+  std::string out = "edges " + std::to_string(qrg.edge_count()) + "\n";
+  for (std::uint32_t e = 0; e < qrg.edge_count(); ++e) {
+    const QrgEdge& edge = qrg.edge(e);
+    out += "edge " + std::to_string(e) + " " + std::to_string(edge.from) +
+           ">" + std::to_string(edge.to) + " psi " + str(edge.psi) +
+           " alpha " + str(edge.alpha) + " res " +
+           str(std::uint64_t{edge.bottleneck.value()}) + " req";
+    for (const auto& [rid, amount] : qrg.requirement(e))
+      out += " " + str(std::uint64_t{rid.value()}) + ":" + str(amount);
+    out += "\n";
+  }
+  const auto labels = relax_qrg(qrg);
+  for (std::size_t v = 0; v < labels.size(); ++v)
+    out += "label " + std::to_string(v) + " " +
+           (labels[v].reachable ? str(labels[v].value) : "-") + " " +
+           std::to_string(labels[v].pred_edge) + " " +
+           str(std::uint64_t{labels[v].bottleneck.value()}) + " " +
+           str(labels[v].alpha) + "\n";
+  Rng rng(seed);
+  const PlanResult result = planner.plan(qrg, rng);
+  for (const SinkInfo& sink : result.sinks)
+    out += "sink " + std::to_string(sink.rank) + " " +
+           std::to_string(sink.level) + " " +
+           (sink.reachable ? str(sink.psi) : "-") + " " + str(sink.alpha) +
+           " " + str(std::uint64_t{sink.bottleneck.value()}) + "\n";
+  if (!result.plan) return out + "no plan\n";
+  const ReservationPlan& plan = *result.plan;
+  for (const PlanStep& step : plan.steps) {
+    out += "step " + std::to_string(step.component) + " " +
+           std::to_string(step.in_level) + ">" +
+           std::to_string(step.out_level) + " psi " + str(step.psi) + " req";
+    for (const auto& [rid, amount] : step.requirement)
+      out += " " + str(std::uint64_t{rid.value()}) + ":" + str(amount);
+    out += "\n";
+  }
+  return out + "plan " + std::to_string(plan.end_to_end_level) + " rank " +
+         std::to_string(plan.end_to_end_rank) + " psi " +
+         str(plan.bottleneck_psi) + " res " +
+         str(std::uint64_t{plan.bottleneck_resource.value()}) + " alpha " +
+         str(plan.bottleneck_alpha) + "\n";
+}
+
+/// First line where two fingerprints differ.
+std::string first_difference(const std::string& want, const std::string& got) {
+  std::size_t line_start = 0;
+  for (std::size_t i = 0; i < std::min(want.size(), got.size()); ++i) {
+    if (want[i] != got[i]) {
+      const auto line_of = [line_start](const std::string& text) {
+        return text.substr(line_start, text.find('\n', line_start) -
+                                           line_start);
+      };
+      return "cold '" + line_of(want) + "' vs warm '" + line_of(got) + "'";
+    }
+    if (want[i] == '\n') line_start = i + 1;
+  }
+  return "fingerprint lengths " + std::to_string(want.size()) + " vs " +
+         std::to_string(got.size());
+}
+
+}  // namespace
+
+std::string check_cache_history(const World& world, std::uint64_t seed,
+                                const IPlanner& planner, ThreadPool* pool) {
+  // A stream of its own, so the caller's generator draws are unchanged.
+  Rng rng(seed ^ 0x5eedcafef00dULL);
+  struct Snapshot {
+    AvailabilityView view;
+    PsiKind psi_kind;
+    double scale;
+  };
+  std::vector<Snapshot> snapshots;
+  for (const auto& [psi_kind, scale] :
+       {std::pair{PsiKind::kRatio, 1.0}, std::pair{PsiKind::kHeadroom, 2.0},
+        std::pair{PsiKind::kLogRatio, 1.0}, std::pair{PsiKind::kRatio, 2.0}}) {
+    AvailabilityView view;
+    for (const auto& [rid, obs] : world.view)
+      view.set(rid,
+               rng.bernoulli(0.1) ? 0.0
+                                  : obs.available * rng.uniform(0.3, 1.5),
+               rng.uniform(0.5, 1.5));
+    snapshots.push_back(Snapshot{std::move(view), psi_kind, scale});
+  }
+
+  // Run 2i plans snapshot i on the warm service, run 2i + 1 on a fresh
+  // copy of it.
+  std::vector<ServiceDefinition> cold(snapshots.size(), world.service);
+  std::vector<std::string> prints(2 * snapshots.size());
+  const auto run = [&](std::size_t i) {
+    const Snapshot& snapshot = snapshots[i / 2];
+    const ServiceDefinition& service =
+        i % 2 == 0 ? world.service : cold[i / 2];
+    const Qrg qrg(service, snapshot.view, snapshot.psi_kind, snapshot.scale);
+    prints[i] = fingerprint(qrg, planner, seed + i / 2);
+  };
+  if (pool != nullptr)
+    pool->parallel_for(prints.size(), run, 1);
+  else
+    for (std::size_t i = 0; i < prints.size(); ++i) run(i);
+
+  for (std::size_t s = 0; s < snapshots.size(); ++s)
+    if (prints[2 * s] != prints[2 * s + 1])
+      return "snapshot " + std::to_string(s) + " (" +
+             to_string(snapshots[s].psi_kind) + ", scale " +
+             str(snapshots[s].scale) + "): " +
+             first_difference(prints[2 * s + 1], prints[2 * s]);
+  return {};
+}
+
 std::string run_iteration(std::uint64_t seed, FuzzStats* stats) {
   Rng rng(seed);
   const auto tag = [seed](const std::string& what, const std::string& err) {
@@ -512,6 +631,10 @@ std::string run_iteration(std::uint64_t seed, FuzzStats* stats) {
     if (auto err = check_planners(qrg); !err.empty())
       return tag(kind + " planners", err);
     if (stats) ++stats->plans;
+    if (auto err = check_cache_history(world, seed, BasicPlanner());
+        !err.empty())
+      return tag(kind + " cache history", err);
+    if (stats) stats->warm_snapshots += 4;
   }
   const int broker_steps = 150;
   if (auto err = check_broker(rng, broker_steps); !err.empty())

@@ -21,6 +21,7 @@
 #include "core/planner.hpp"
 #include "core/service.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qres::fuzz {
 
@@ -71,6 +72,17 @@ std::string check_plan_wellformed(const Qrg& qrg, const ReservationPlan& plan);
 /// consistency and plan well-formedness of both planners' results.
 std::string check_planners(const Qrg& qrg);
 
+/// Cache-history independence of the compiled QRG: plans `world.service`
+/// (already compiled by an earlier Qrg) under four snapshots derived from
+/// `world.view` — perturbed availability, scales 1 and 2, every psi kind —
+/// and requires each run's QRG edges, pass-I labels, sinks and plan to
+/// equal those of the same snapshot planned on a fresh copy of the service
+/// (a cold compile). With a `pool`, the warm and cold runs of all
+/// snapshots plan concurrently on its workers.
+std::string check_cache_history(const World& world, std::uint64_t seed,
+                                const IPlanner& planner,
+                                ThreadPool* pool = nullptr);
+
 /// Drives a ResourceBroker (both alpha modes) through `steps` random
 /// reserve / release / release_amount / observe operations against an
 /// independent model: accounting bounds (0 <= reserved <= capacity),
@@ -85,12 +97,14 @@ struct FuzzStats {
   std::uint64_t qrgs = 0;
   std::uint64_t nodes = 0;
   std::uint64_t plans = 0;
+  std::uint64_t warm_snapshots = 0;  ///< check_cache_history snapshots
   std::uint64_t broker_steps = 0;
 
   void merge(const FuzzStats& other) {
     qrgs += other.qrgs;
     nodes += other.nodes;
     plans += other.plans;
+    warm_snapshots += other.warm_snapshots;
     broker_steps += other.broker_steps;
   }
 };

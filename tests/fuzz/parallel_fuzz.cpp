@@ -349,6 +349,16 @@ std::string run_parallel_iteration(std::uint64_t seed,
       return tag(kind + " labels", err);
     if (auto err = planner_differential(qrg, rng, stats); !err.empty())
       return tag(kind + " planner", err);
+    // Warm and cold runs race on the 4-worker pool; the planner's own
+    // pass I runs inline there (nested parallel_for).
+    ParallelRelaxOptions options;
+    options.min_parallel_nodes = 0;
+    if (auto err = check_cache_history(
+            world, seed, ParallelPlanner(&pool_with(4), options),
+            &pool_with(4));
+        !err.empty())
+      return tag(kind + " cache history", err);
+    if (stats) stats->warm_snapshots += 4;
   }
   if (auto err = batch_differential(rng(), stats); !err.empty())
     return tag("batch", err);

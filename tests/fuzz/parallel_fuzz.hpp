@@ -8,6 +8,9 @@
 //     bucket widths), and parallel_relax_qrg with no pool and with
 //     1/2/4-worker pools — in both tie-break modes;
 //   * ParallelPlanner returns exactly BasicPlanner's result;
+//   * a service's compiled QRG gives the same results under later
+//     snapshots as a cold compile does, with the runs racing on a pool
+//     (check_cache_history);
 //   * establish_batch over identically-seeded broker worlds produces
 //     bit-identical EstablishResults (outcome, plan, holdings, stats)
 //     and bit-identical broker accounting (serialized snapshots) whether
@@ -29,6 +32,7 @@ struct ParallelFuzzStats {
   std::uint64_t qrgs = 0;
   std::uint64_t label_comparisons = 0;
   std::uint64_t plans = 0;
+  std::uint64_t warm_snapshots = 0;  ///< check_cache_history snapshots
   std::uint64_t batches = 0;
   std::uint64_t batch_sessions = 0;
   std::uint64_t admitted = 0;
@@ -38,6 +42,7 @@ struct ParallelFuzzStats {
     qrgs += other.qrgs;
     label_comparisons += other.label_comparisons;
     plans += other.plans;
+    warm_snapshots += other.warm_snapshots;
     batches += other.batches;
     batch_sessions += other.batch_sessions;
     admitted += other.admitted;

@@ -76,7 +76,7 @@ TEST_P(CrossModuleProperties, QrgStructuralInvariants) {
         // Every translation edge is feasible under the snapshot and its
         // weight is the max per-resource contention index.
         double expected_psi = 0.0;
-        for (const auto& [rid, amount] : edge.requirement) {
+        for (const auto& [rid, amount] : qrg.requirement(e)) {
           const double avail = world.view.get(rid).available;
           EXPECT_LE(amount, avail);
           expected_psi = std::max(expected_psi, amount / avail);
@@ -86,7 +86,7 @@ TEST_P(CrossModuleProperties, QrgStructuralInvariants) {
         EXPECT_LE(edge.psi, 1.0);
       } else {
         EXPECT_EQ(edge.psi, 0.0);
-        EXPECT_TRUE(edge.requirement.empty());
+        EXPECT_TRUE(qrg.requirement(e).empty());
       }
     }
   }

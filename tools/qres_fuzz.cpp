@@ -235,9 +235,10 @@ int main(int argc, char** argv) {
     std::printf(
         "qres_fuzz: %" PRIu64 " iteration(s), %" PRIu64
         " failure(s); checked %" PRIu64 " QRGs (%" PRIu64 " nodes), %" PRIu64
-        " planner comparisons, %" PRIu64 " broker steps\n",
+        " planner comparisons, %" PRIu64 " warm-vs-cold snapshots, %" PRIu64
+        " broker steps\n",
         total, failures, stats.qrgs, stats.nodes, stats.plans,
-        stats.broker_steps);
+        stats.warm_snapshots, stats.broker_steps);
   if (run_faults)
     std::printf(
         "qres_fuzz faults: %" PRIu64 " iteration(s), %" PRIu64
@@ -327,12 +328,13 @@ int main(int argc, char** argv) {
         "qres_fuzz parallel: %" PRIu64 " iteration(s), %" PRIu64
         " failure(s); %" PRIu64 " QRGs, %" PRIu64
         " label comparisons, %" PRIu64 " planner comparisons, %" PRIu64
-        " batches (%" PRIu64 " sessions, %" PRIu64 " admitted, %" PRIu64
-        " conflict replans)\n",
+        " warm-vs-cold snapshots, %" PRIu64 " batches (%" PRIu64
+        " sessions, %" PRIu64 " admitted, %" PRIu64 " conflict replans)\n",
         total, failures, parallel_stats.qrgs,
         parallel_stats.label_comparisons, parallel_stats.plans,
-        parallel_stats.batches, parallel_stats.batch_sessions,
-        parallel_stats.admitted, parallel_stats.conflicts_replanned);
+        parallel_stats.warm_snapshots, parallel_stats.batches,
+        parallel_stats.batch_sessions, parallel_stats.admitted,
+        parallel_stats.conflicts_replanned);
   if (failures > 0)
     std::printf("reproduce a failure with: %s --repro-seed <seed>\n",
                 argv[0]);
