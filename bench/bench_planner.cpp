@@ -1,12 +1,12 @@
 // Microbenchmarks (google-benchmark) for the runtime algorithm itself,
 // validating the paper's O(K * Q^2) complexity claim (§4.2) and the
-// DESIGN.md §11 parallel planning engine. K = number of components in
+// batch-admission scaling of DESIGN.md §11. K = number of components in
 // the chain, Q = QoS levels per component.
 //
 // Timing is split by phase so regressions localize: QRG compilation
 // (cold, once per service) and re-weighting (warm, once per session),
-// pass I alone (each queue implementation), pass II alone, and the
-// establishment pipeline split into snapshot / plan / full commit via
+// pass I alone (topological sweep and heap Dijkstra), pass II alone, and
+// the establishment pipeline split into snapshot / plan / full commit via
 // SessionCoordinator's three-phase API — earlier revisions timed the
 // QRG build and both planner passes as one number, which hid where the
 // time went. Every benchmark declares a warm-up so the first-iteration
@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel_planner.hpp"
 #include "core/planner.hpp"
 #include "core/random_planner.hpp"
 #include "scenario/paper_scenario.hpp"
@@ -135,43 +134,16 @@ void BM_PassIDijkstraHeap(benchmark::State& state) {
       make_chain(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1)));
   const Qrg qrg(s.service, s.view);
-  const PlannerOptions options{.queue = PassQueue::kBinaryHeap};
   for (auto _ : state) {
-    auto labels = dijkstra_qrg(qrg, options);
+    auto labels = dijkstra_qrg(qrg);
     benchmark::DoNotOptimize(labels.data());
   }
   state.SetComplexityN(state.range(0) * state.range(1) * state.range(1));
-}
-
-void BM_PassIDijkstraBucket(benchmark::State& state) {
-  const Synthetic s =
-      make_chain(static_cast<int>(state.range(0)),
-                 static_cast<int>(state.range(1)));
-  const Qrg qrg(s.service, s.view);
-  const PlannerOptions options{.queue = PassQueue::kBucket};
-  for (auto _ : state) {
-    auto labels = dijkstra_qrg(qrg, options);
-    benchmark::DoNotOptimize(labels.data());
-  }
-  state.SetComplexityN(state.range(0) * state.range(1) * state.range(1));
-}
-
-void BM_PassIParallelRelax(benchmark::State& state) {
-  const Synthetic s = make_chain(8, 64);  // the widest grid point
-  const Qrg qrg(s.service, s.view);
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(workers);
-  ParallelRelaxOptions options;
-  options.min_parallel_nodes = 0;  // always exercise the parallel path
-  for (auto _ : state) {
-    auto labels = parallel_relax_qrg(qrg, &pool, options);
-    benchmark::DoNotOptimize(labels.data());
-  }
 }
 
 void BM_PassIIFromLabels(benchmark::State& state) {
   // Pass II alone: sink selection + backtracking from precomputed
-  // labels. Timed separately so pass-I queue changes don't blur it.
+  // labels. Timed separately so pass-I changes don't blur it.
   const Synthetic s =
       make_chain(static_cast<int>(state.range(0)),
                  static_cast<int>(state.range(1)));
@@ -223,14 +195,6 @@ BENCHMARK(BM_PassIRelax)->Apply(planner_args)->Complexity(benchmark::oN);
 BENCHMARK(BM_PassIDijkstraHeap)
     ->Args({8, 16})
     ->Args({8, 64});
-BENCHMARK(BM_PassIDijkstraBucket)
-    ->Args({8, 16})
-    ->Args({8, 64});
-BENCHMARK(BM_PassIParallelRelax)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
 BENCHMARK(BM_PassIIFromLabels)->Apply(planner_args)->Complexity(
     benchmark::oN);
 BENCHMARK(BM_BasicPlanFull)->Apply(planner_args)->Complexity(benchmark::oN);

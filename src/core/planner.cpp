@@ -5,15 +5,18 @@
 #include <limits>
 #include <queue>
 
-#include "core/bucket_pq.hpp"
 #include "util/assert.hpp"
 
 namespace qres {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Computes the pass-I label of `v` from the (final) labels of its
+/// in-edge predecessors: AND semantics at input nodes, OR semantics with
+/// the tie-break rule at output nodes, the zero label at the source.
+/// labels[v] itself is never read.
 NodeLabel relax_node(const Qrg& qrg, const PlannerOptions& options,
                      const std::vector<NodeLabel>& labels, std::uint32_t v) {
   NodeLabel label;
@@ -86,6 +89,8 @@ NodeLabel relax_node(const Qrg& qrg, const PlannerOptions& options,
   return label;
 }
 
+}  // namespace
+
 std::vector<NodeLabel> relax_qrg(const Qrg& qrg, const PlannerOptions& options) {
   std::vector<NodeLabel> labels(qrg.node_count());
 
@@ -98,28 +103,8 @@ std::vector<NodeLabel> relax_qrg(const Qrg& qrg, const PlannerOptions& options) 
   return labels;
 }
 
-namespace {
-
-/// std::priority_queue behind the BucketPQ-shaped interface
-/// dijkstra_impl templates over: push(value, node) / empty() /
-/// pop_min() returning the lexicographically smallest (value, node).
-struct HeapQueue {
-  using Entry = std::pair<double, std::uint32_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-
-  bool empty() const { return heap.empty(); }
-  void push(double value, std::uint32_t node) { heap.push({value, node}); }
-  Entry pop_min() {
-    Entry top = heap.top();
-    heap.pop();
-    return top;
-  }
-};
-
-template <typename Queue>
-std::vector<NodeLabel> dijkstra_impl(const Qrg& qrg,
-                                     const PlannerOptions& options,
-                                     Queue queue) {
+std::vector<NodeLabel> dijkstra_qrg(const Qrg& qrg,
+                                    const PlannerOptions& options) {
   std::vector<NodeLabel> labels(qrg.node_count());
   std::vector<bool> settled(qrg.node_count(), false);
   // Tentative best incoming edge psi per node, for the tie-break rule.
@@ -134,15 +119,17 @@ std::vector<NodeLabel> dijkstra_impl(const Qrg& qrg,
     if (qrg.node(v).kind == QrgNodeKind::kIn && v != qrg.source_node())
       waiting[v] = qrg.in_edges(v).size();
 
-  // Min-queue of (value, node) with lazy deletion. Both queue types pop
-  // the globally smallest (value, node) pair, so settle order — and with
-  // it every label — is identical whichever one drives the loop.
+  // Min-heap of (value, node) with lazy deletion; equal values pop the
+  // smaller node index first, so settle order is deterministic.
+  using Entry = std::pair<double, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
   labels[qrg.source_node()].value = 0.0;
   labels[qrg.source_node()].reachable = true;
-  queue.push(0.0, qrg.source_node());
+  queue.push({0.0, qrg.source_node()});
 
   while (!queue.empty()) {
-    const auto [value, u] = queue.pop_min();
+    const std::uint32_t u = queue.top().second;
+    queue.pop();
     if (settled[u]) continue;
     settled[u] = true;
     for (std::uint32_t e : qrg.out_edges(u)) {
@@ -164,7 +151,7 @@ std::vector<NodeLabel> dijkstra_impl(const Qrg& qrg,
         }
         if (--waiting[v] == 0) {
           lv.reachable = true;
-          queue.push(lv.value, v);
+          queue.push({lv.value, v});
         }
       } else {
         // Translation edge into an output node: standard relaxation under
@@ -195,7 +182,7 @@ std::vector<NodeLabel> dijkstra_impl(const Qrg& qrg,
           lv.bottleneck = labels[u].bottleneck;
           lv.alpha = labels[u].alpha;
         }
-        if (value_changed) queue.push(candidate, v);
+        if (value_changed) queue.push({candidate, v});
       }
     }
   }
@@ -205,15 +192,6 @@ std::vector<NodeLabel> dijkstra_impl(const Qrg& qrg,
   for (std::uint32_t v = 0; v < qrg.node_count(); ++v)
     if (waiting[v] > 0) labels[v] = NodeLabel{};
   return labels;
-}
-
-}  // namespace
-
-std::vector<NodeLabel> dijkstra_qrg(const Qrg& qrg,
-                                    const PlannerOptions& options) {
-  if (options.queue == PassQueue::kBucket)
-    return dijkstra_impl(qrg, options, BucketPQ(options.bucket_delta));
-  return dijkstra_impl(qrg, options, HeapQueue{});
 }
 
 std::vector<SinkInfo> sink_infos(const Qrg& qrg,

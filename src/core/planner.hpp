@@ -32,20 +32,10 @@
 
 namespace qres {
 
-/// Priority queue driving dijkstra_qrg's pass I. Labels are bit-identical
-/// either way (BucketPQ reproduces the heap's exact pop order); the
-/// bucket queue is faster when ψ values are bounded and coarse — the
-/// common case (see src/core/bucket_pq.hpp).
-enum class PassQueue : std::uint8_t { kBinaryHeap, kBucket };
-
 struct PlannerOptions {
   /// Applies the paper's predecessor tie-breaking rule (min incoming edge
   /// weight among equal-value candidates). Disable only for the ablation.
   bool use_tie_break = true;
-  /// Queue used by dijkstra_qrg (relax_qrg needs none).
-  PassQueue queue = PassQueue::kBinaryHeap;
-  /// Bucket width when queue == PassQueue::kBucket.
-  double bucket_delta = 1.0 / 64.0;
 };
 
 /// Pass-I label of one QRG node.
@@ -63,16 +53,6 @@ struct NodeLabel {
   /// For output nodes: the chosen incoming translation edge.
   std::uint32_t pred_edge = kNoEdge;
 };
-
-/// Computes the pass-I label of `v` from the (final) labels of its
-/// in-edge predecessors: AND semantics at input nodes, OR semantics with
-/// the tie-break rule at output nodes, the zero label at the source.
-/// This is the single relaxation step shared by relax_qrg (topological
-/// sweep) and parallel_relax_qrg (wavefront sweep) — one definition, so
-/// the sequential and parallel planners cannot drift. labels[v] itself
-/// is never read; every predecessor's label must already be final.
-NodeLabel relax_node(const Qrg& qrg, const PlannerOptions& options,
-                     const std::vector<NodeLabel>& labels, std::uint32_t v);
 
 /// Runs pass I over the whole QRG; labels are indexed by QRG node index.
 std::vector<NodeLabel> relax_qrg(const Qrg& qrg,
@@ -139,9 +119,8 @@ struct PlanResult {
 /// The basic algorithm's sink policy applied to precomputed pass-I
 /// labels: pick the best reachable end-to-end rank, extract per §4.3.2
 /// with fallback to lower-ranked reachable sinks when the DAG heuristic
-/// fails. Shared by BasicPlanner (sequential labels) and ParallelPlanner
-/// (wavefront labels), so both produce identical plans from identical
-/// labels by construction.
+/// fails. BasicPlanner is relax_qrg followed by this; it is exposed so
+/// pass II can be run (and timed) on precomputed labels.
 PlanResult basic_plan_from_labels(const Qrg& qrg,
                                   const std::vector<NodeLabel>& labels);
 

@@ -138,12 +138,10 @@ HostId best_candidate(const World& w) {
   return candidate;
 }
 
-}  // namespace
-
-std::string run_failover_iteration(std::uint64_t seed,
-                                   FailoverFuzzStats* stats) {
-  Rng rng(seed);
-  World w;
+/// Builds the group into `w` and drives it through the schedule `rng`
+/// draws; returns the first oracle failure (tagged with `seed`) or "".
+std::string drive_group(std::uint64_t seed, Rng& rng,
+                        FailoverFuzzStats* stats, World& w) {
   const std::size_t replicas = rng.bernoulli(0.25) ? 5 : 3;
   for (std::size_t i = 0; i < replicas; ++i)
     w.hosts.push_back(HostId{static_cast<std::uint32_t>(10 + i)});
@@ -319,13 +317,23 @@ std::string run_failover_iteration(std::uint64_t seed,
   if (to_line(rebuilt.snapshot(w.now)) !=
       to_line(w.group->primary_snapshot(w.now)))
     return seed_msg(seed, "recover() diverged from the serving primary");
+  return "";
+}
 
+}  // namespace
+
+std::string run_failover_iteration(std::uint64_t seed,
+                                   FailoverFuzzStats* stats) {
+  Rng rng(seed);  // outlives w: w.transport draws from it
+  World w;
+  const std::string verdict = drive_group(seed, rng, stats, w);
+  // Shipping totals count failing iterations too.
   const ReplicationStats& gs = w.group->stats();
   stats->ship_batches += gs.ship_batches;
   stats->ship_lost += gs.ship_lost;
   stats->quorum_failures += gs.quorum_failures;
   stats->truncated_records += gs.truncated_records;
-  return "";
+  return verdict;
 }
 
 }  // namespace qres::fuzz

@@ -1,13 +1,8 @@
-// Differential fuzzing of the parallel planning engine (DESIGN.md §11):
-// thread-count independence of labels, plans, batch admission results
+// Differential fuzzing of pool-driven planning (DESIGN.md §11):
+// thread-count independence of warm QRG reuse, batch admission results
 // and broker accounting.
 //
 // Each iteration proves, from one seed:
-//   * pass-I labels are bit-identical across relax_qrg, dijkstra_qrg
-//     with the binary heap, dijkstra_qrg with the BucketPQ (several
-//     bucket widths), and parallel_relax_qrg with no pool and with
-//     1/2/4-worker pools — in both tie-break modes;
-//   * ParallelPlanner returns exactly BasicPlanner's result;
 //   * a service's compiled QRG gives the same results under later
 //     snapshots as a cold compile does, with the runs racing on a pool
 //     (check_cache_history);
@@ -30,8 +25,6 @@ namespace qres::fuzz {
 
 struct ParallelFuzzStats {
   std::uint64_t qrgs = 0;
-  std::uint64_t label_comparisons = 0;
-  std::uint64_t plans = 0;
   std::uint64_t warm_snapshots = 0;  ///< check_cache_history snapshots
   std::uint64_t batches = 0;
   std::uint64_t batch_sessions = 0;
@@ -40,8 +33,6 @@ struct ParallelFuzzStats {
 
   void merge(const ParallelFuzzStats& other) {
     qrgs += other.qrgs;
-    label_comparisons += other.label_comparisons;
-    plans += other.plans;
     warm_snapshots += other.warm_snapshots;
     batches += other.batches;
     batch_sessions += other.batch_sessions;

@@ -1,8 +1,6 @@
-// Bounded in-tree run of the parallel-planner fuzz harness
-// (parallel_fuzz.*) so tier-1 ctest proves thread-count independence on
-// every build: pass-I labels bit-identical across relax_qrg, both
-// dijkstra_qrg queues and parallel_relax_qrg at several worker counts,
-// ParallelPlanner == BasicPlanner, and establish_batch producing
+// Bounded in-tree run of the parallel fuzz harness (parallel_fuzz.*) so
+// tier-1 ctest proves thread-count independence on every build: warm and
+// cold QRG runs racing on a pool agree, and establish_batch produces
 // bit-identical results and broker accounting whether planning runs
 // inline or on a pool. The standalone qres_fuzz --mode parallel driver
 // runs the same iterations at scale under sanitizers and TSan.
@@ -25,8 +23,7 @@ TEST(ParallelFuzzSmoke, IterationsAreClean) {
   // A clean run must prove it exercised the parallel machinery, not just
   // trivially empty worlds.
   EXPECT_GT(stats.qrgs, 0u);
-  EXPECT_GT(stats.label_comparisons, 0u);
-  EXPECT_GT(stats.plans, 0u);
+  EXPECT_GT(stats.warm_snapshots, 0u);
   EXPECT_GT(stats.batches, 0u);
   EXPECT_GT(stats.batch_sessions, 0u);
   EXPECT_GT(stats.admitted, 0u);
@@ -39,8 +36,8 @@ TEST(ParallelFuzzSmoke, IterationsAreDeterministicPerSeed) {
   EXPECT_EQ(fuzz::run_parallel_iteration(42, &a),
             fuzz::run_parallel_iteration(42, &b));
   EXPECT_EQ(a.qrgs, b.qrgs);
-  EXPECT_EQ(a.label_comparisons, b.label_comparisons);
-  EXPECT_EQ(a.plans, b.plans);
+  EXPECT_EQ(a.warm_snapshots, b.warm_snapshots);
+  EXPECT_EQ(a.batches, b.batches);
   EXPECT_EQ(a.batch_sessions, b.batch_sessions);
   EXPECT_EQ(a.admitted, b.admitted);
   EXPECT_EQ(a.conflicts_replanned, b.conflicts_replanned);

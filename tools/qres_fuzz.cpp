@@ -26,11 +26,9 @@
 //   * the auditor's conservation proof closes (zombies included).
 //
 // With --mode parallel (see tests/fuzz/parallel_fuzz.*) each iteration
-// proves the parallel planning engine thread-count independent:
-//   * pass-I labels are bit-identical across relax_qrg, heap- and
-//     bucket-queue dijkstra_qrg, and parallel_relax_qrg with no pool
-//     and with 1/2/4-worker pools,
-//   * ParallelPlanner returns exactly BasicPlanner's result,
+// proves pool-driven planning thread-count independent:
+//   * warm (compiled-once) and cold QRG runs racing on a 4-worker pool
+//     give identical plans,
 //   * establish_batch produces bit-identical results and broker
 //     accounting whether planning runs inline or on a pool.
 //
@@ -327,14 +325,11 @@ int main(int argc, char** argv) {
     std::printf(
         "qres_fuzz parallel: %" PRIu64 " iteration(s), %" PRIu64
         " failure(s); %" PRIu64 " QRGs, %" PRIu64
-        " label comparisons, %" PRIu64 " planner comparisons, %" PRIu64
         " warm-vs-cold snapshots, %" PRIu64 " batches (%" PRIu64
         " sessions, %" PRIu64 " admitted, %" PRIu64 " conflict replans)\n",
-        total, failures, parallel_stats.qrgs,
-        parallel_stats.label_comparisons, parallel_stats.plans,
-        parallel_stats.warm_snapshots, parallel_stats.batches,
-        parallel_stats.batch_sessions, parallel_stats.admitted,
-        parallel_stats.conflicts_replanned);
+        total, failures, parallel_stats.qrgs, parallel_stats.warm_snapshots,
+        parallel_stats.batches, parallel_stats.batch_sessions,
+        parallel_stats.admitted, parallel_stats.conflicts_replanned);
   if (failures > 0)
     std::printf("reproduce a failure with: %s --repro-seed <seed>\n",
                 argv[0]);

@@ -820,7 +820,7 @@ struct Checker {
     }
   }
 
-  // The parallel planning engine (DESIGN.md §11) relies on clang's
+  // Pool-driven planning (DESIGN.md §11) relies on clang's
   // -Werror=thread-safety lane actually seeing every lock: a raw
   // std::mutex carries no capability attributes, so anything it guards
   // is invisible to the analysis. Similarly a qres::Mutex member that no
