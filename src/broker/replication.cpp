@@ -1,6 +1,7 @@
 #include "broker/replication.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "util/assert.hpp"
 
@@ -446,7 +447,14 @@ ShipAckInfo ReplicatedBroker::apply_ship(HostId host, const ShipBatch& batch,
   for (std::size_t i = 0; i < batch.records.size(); ++i) {
     const std::uint64_t seq = batch.seq_first + i;
     if (seq < r->watermark) continue;  // idempotent redelivery
-    const JournalRecord rec = parse_line(batch.records[i]);
+    // Shipped records arrive as wire bytes: one that does not parse stops
+    // the batch at the applied prefix, like a refused append below.
+    JournalRecord rec;
+    try {
+      rec = parse_line(batch.records[i]);
+    } catch (const std::exception&) {
+      break;
+    }
     // The standby's own journal is its durable truth for promotion and
     // restart; a refused append stops the batch at the applied prefix.
     if (r->store->append(rec) != JournalStatus::kOk) break;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -59,7 +58,7 @@ bool parse_index(const std::string& token, char prefix, std::int32_t* out) {
 
 }  // namespace
 
-bool parse_failover_action(const std::string& line, FailoverAction* out) {
+bool parse_action(const std::string& line, FailoverAction* out) {
   std::istringstream in(line);
   std::string verb;
   if (!(in >> verb)) return false;
@@ -155,7 +154,15 @@ FailoverWorld::FailoverWorld(const FailoverTopology& topology)
   check_invariants();
 }
 
+FailoverWorld::FailoverWorld(FailoverWorld&&) noexcept = default;
+FailoverWorld& FailoverWorld::operator=(FailoverWorld&&) noexcept = default;
 FailoverWorld::~FailoverWorld() = default;
+
+FailoverWorld FailoverWorld::clone() const {
+  FailoverWorld copy(*topo_);
+  for (const FailoverAction& action : history_) copy.apply(action);
+  return copy;
+}
 
 std::vector<FailoverAction> FailoverWorld::enabled() const {
   std::vector<FailoverAction> out;
@@ -244,6 +251,7 @@ void FailoverWorld::apply(const FailoverAction& action) {
       break;
   }
   now_ += 1.0;
+  history_.push_back(action);
   check_invariants();
 }
 
@@ -303,115 +311,6 @@ std::pair<std::uint64_t, std::uint64_t> FailoverWorld::canonical_key() const {
   mix(quantize(confirmed_));
   mix(violation_.empty() ? 0 : 1);
   return {a.h, b.h};
-}
-
-// --- Checker --------------------------------------------------------------
-
-namespace {
-
-std::unique_ptr<FailoverWorld> rebuild(const FailoverTopology& topology,
-                                       const std::vector<FailoverAction>& t) {
-  auto world = std::make_unique<FailoverWorld>(topology);
-  for (const FailoverAction& action : t) world->apply(action);
-  return world;
-}
-
-struct Dfs {
-  const FailoverTopology* topo;
-  FailoverCheckLimits limits;
-  FailoverCheckResult* result;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
-  std::vector<FailoverAction> prefix;
-
-  // ReplicatedBroker is not clonable (it owns journals and capture
-  // sinks), so each child is rebuilt by replaying the prefix — cheap at
-  // model depths, and it exercises the exact production objects.
-  bool run(FailoverWorld& world, std::size_t depth) {
-    if (!world.violation().empty()) {
-      result->violation_found = true;
-      result->invariant = world.violation();
-      result->trace = prefix;
-      return true;
-    }
-    if (depth >= limits.max_depth) return false;
-    for (const FailoverAction& action : world.enabled()) {
-      if (result->distinct_states >= limits.max_states) {
-        result->budget_exhausted = true;
-        return false;
-      }
-      prefix.push_back(action);
-      ++result->transitions;
-      const std::unique_ptr<FailoverWorld> child = rebuild(*topo, prefix);
-      if (!child->violation().empty()) {
-        result->violation_found = true;
-        result->invariant = child->violation();
-        result->trace = prefix;
-        return true;
-      }
-      if (seen.insert(child->canonical_key()).second) {
-        ++result->distinct_states;
-        result->deepest = std::max(result->deepest, depth + 1);
-        if (run(*child, depth + 1)) return true;
-        if (result->budget_exhausted) return false;
-      } else {
-        ++result->revisits;
-      }
-      prefix.pop_back();
-    }
-    return false;
-  }
-};
-
-}  // namespace
-
-FailoverCheckResult check_failover(const FailoverTopology& topology,
-                                   const FailoverCheckLimits& limits) {
-  FailoverCheckResult result;
-  FailoverWorld initial(topology);
-  Dfs dfs{&topology, limits, &result, {}, {}};
-  dfs.seen.insert(initial.canonical_key());
-  result.distinct_states = 1;
-  dfs.run(initial, 0);
-  if (result.violation_found)
-    result.trace =
-        minimize_failover(topology, std::move(result.trace), result.invariant);
-  return result;
-}
-
-bool replay_failover(const FailoverTopology& topology,
-                     const std::vector<FailoverAction>& trace,
-                     std::string* violated) {
-  FailoverWorld world(topology);
-  for (const FailoverAction& action : trace) {
-    if (!world.violation().empty()) break;  // terminal; ignore the tail
-    const std::vector<FailoverAction> legal = world.enabled();
-    if (std::find(legal.begin(), legal.end(), action) == legal.end())
-      return false;
-    world.apply(action);
-  }
-  if (violated != nullptr) *violated = world.violation();
-  return true;
-}
-
-std::vector<FailoverAction> minimize_failover(
-    const FailoverTopology& topology, std::vector<FailoverAction> trace,
-    const std::string& invariant) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      std::vector<FailoverAction> candidate = trace;
-      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-      std::string violated;
-      if (replay_failover(topology, candidate, &violated) &&
-          violated == invariant) {
-        trace = std::move(candidate);
-        changed = true;
-        break;
-      }
-    }
-  }
-  return trace;
 }
 
 // --- Topologies -----------------------------------------------------------
@@ -475,110 +374,6 @@ const FailoverTopology* find_failover_topology(const std::string& name) {
   for (const FailoverTopology& t : all_failover_topologies())
     if (t.name == name) return &t;
   return nullptr;
-}
-
-// --- Trace files ----------------------------------------------------------
-
-namespace {
-constexpr const char* kFailoverTraceHeader = "# qres_mc failover-trace v1";
-}  // namespace
-
-bool is_failover_trace(const std::string& text) {
-  return text.rfind(kFailoverTraceHeader, 0) == 0;
-}
-
-std::string format_failover_trace(const FailoverTraceFile& trace) {
-  std::ostringstream out;
-  out << kFailoverTraceHeader << "\n";
-  out << "topology: " << trace.topology << "\n";
-  if (trace.expect_violation)
-    out << "expect: violation " << trace.expected_invariant << "\n";
-  else
-    out << "expect: ok\n";
-  for (const FailoverAction& action : trace.actions)
-    out << "action: " << to_string(action) << "\n";
-  return out.str();
-}
-
-bool parse_failover_trace(const std::string& text, FailoverTraceFile* out,
-                          std::string* error) {
-  FailoverTraceFile trace;
-  std::istringstream in(text);
-  std::string line;
-  bool saw_header = false;
-  std::size_t lineno = 0;
-  const auto fail = [&](const std::string& what) {
-    if (error != nullptr)
-      *error = "line " + std::to_string(lineno) + ": " + what;
-    return false;
-  };
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      if (!saw_header) {
-        if (line != kFailoverTraceHeader) return fail("bad header");
-        saw_header = true;
-      }
-      continue;
-    }
-    if (!saw_header) return fail("missing header");
-    const std::size_t colon = line.find(": ");
-    if (colon == std::string::npos) return fail("expected 'key: value'");
-    const std::string key = line.substr(0, colon);
-    const std::string value = line.substr(colon + 2);
-    if (key == "topology") {
-      trace.topology = value;
-    } else if (key == "expect") {
-      if (value == "ok") {
-        trace.expect_violation = false;
-      } else if (value.rfind("violation ", 0) == 0) {
-        trace.expect_violation = true;
-        trace.expected_invariant = value.substr(10);
-      } else {
-        return fail("expect must be 'ok' or 'violation <invariant>'");
-      }
-    } else if (key == "action") {
-      FailoverAction action;
-      if (!parse_failover_action(value, &action))
-        return fail("unparseable action '" + value + "'");
-      trace.actions.push_back(action);
-    } else {
-      return fail("unknown key '" + key + "'");
-    }
-  }
-  if (!saw_header) return fail("empty trace");
-  if (trace.topology.empty()) return fail("missing topology");
-  *out = std::move(trace);
-  return true;
-}
-
-bool run_failover_trace(const FailoverTraceFile& trace, std::string* error) {
-  const FailoverTopology* topo = find_failover_topology(trace.topology);
-  if (topo == nullptr) {
-    if (error != nullptr)
-      *error = "unknown failover topology: " + trace.topology;
-    return false;
-  }
-  std::string violated;
-  if (!replay_failover(*topo, trace.actions, &violated)) {
-    if (error != nullptr) *error = "trace action not enabled when replayed";
-    return false;
-  }
-  if (trace.expect_violation) {
-    if (violated != trace.expected_invariant) {
-      if (error != nullptr)
-        *error = "expected violation '" + trace.expected_invariant +
-                 "', got " + (violated.empty() ? "'ok'" : "'" + violated + "'");
-      return false;
-    }
-    return true;
-  }
-  if (!violated.empty()) {
-    if (error != nullptr) *error = "unexpected violation '" + violated + "'";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace qres::mc

@@ -22,9 +22,12 @@
 //     fencing a deposed primary confirms grants against a diverged
 //     shadow and the sum overshoots.
 //
-// Worlds are rebuilt by replay (ReplicatedBroker owns its journals and
-// capture sinks, so cloning is not meaningful); the DFS is stateless
-// reset+replay with canonical-state caching, cheap at these depths.
+// The shared checker (checker.hpp) searches this world exactly as it
+// searches the signaling World. ReplicatedBroker owns its journals and
+// capture sinks, so a deep copy is not meaningful: clone() rebuilds the
+// group by replaying the world's own action history, cheap at these
+// depths. independent() is always false, so sleep sets stay empty and
+// partial-order reduction prunes nothing for this model.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +57,19 @@ struct FailoverAction {
 
   friend bool operator==(const FailoverAction&, const FailoverAction&) =
       default;
+  friend auto operator<=>(const FailoverAction&, const FailoverAction&) =
+      default;
 };
 
 /// One stable trace line ("grant s1 r0", "promote r1", "partition").
 std::string to_string(const FailoverAction& action);
-bool parse_failover_action(const std::string& line, FailoverAction* out);
+bool parse_action(const std::string& line, FailoverAction* out);
+
+/// The sleep-set independence oracle: no two group actions are declared
+/// commuting (every action can touch every replica through shipping).
+inline bool independent(const FailoverAction&, const FailoverAction&) {
+  return false;
+}
 
 /// A closed replica-group scenario: budgets bound the state space.
 struct FailoverTopology {
@@ -89,12 +100,19 @@ struct FailoverTopology {
 class FailoverWorld {
  public:
   explicit FailoverWorld(const FailoverTopology& topology);
+  FailoverWorld(FailoverWorld&&) noexcept;
+  FailoverWorld& operator=(FailoverWorld&&) noexcept;
   ~FailoverWorld();
+
+  /// A fresh world with this one's action history replayed onto it.
+  FailoverWorld clone() const;
 
   /// Empty in a violating state (violations are terminal).
   std::vector<FailoverAction> enabled() const;
   /// Applies one action (must be enabled) and re-checks the invariants.
   void apply(const FailoverAction& action);
+  /// No quiescent-state invariant in this model.
+  void check_quiescent() {}
 
   const std::string& violation() const noexcept { return violation_; }
   std::pair<std::uint64_t, std::uint64_t> canonical_key() const;
@@ -120,66 +138,12 @@ class FailoverWorld {
   int partitions_left_;
   bool partitioned_ = false;
   std::string violation_;
+  std::vector<FailoverAction> history_;  ///< every applied action, in order
 };
-
-struct FailoverCheckResult {
-  bool violation_found = false;
-  std::string invariant;
-  std::vector<FailoverAction> trace;  ///< minimized when found
-  std::uint64_t distinct_states = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t revisits = 0;
-  std::size_t deepest = 0;
-  bool budget_exhausted = false;
-
-  bool verified() const noexcept {
-    return !violation_found && !budget_exhausted;
-  }
-};
-
-struct FailoverCheckLimits {
-  std::uint64_t max_states = 200000;
-  std::size_t max_depth = 24;
-};
-
-/// Exhaustive DFS with canonical-state caching; the returned trace is
-/// minimized (1-minimal) on violation.
-FailoverCheckResult check_failover(const FailoverTopology& topology,
-                                   const FailoverCheckLimits& limits);
-
-/// Replays `trace` on a fresh world. False when an action is not
-/// enabled; *violated (optional) receives the broken invariant ("" when
-/// none).
-bool replay_failover(const FailoverTopology& topology,
-                     const std::vector<FailoverAction>& trace,
-                     std::string* violated);
-
-std::vector<FailoverAction> minimize_failover(
-    const FailoverTopology& topology, std::vector<FailoverAction> trace,
-    const std::string& invariant);
 
 /// Built-in failover topologies (verification targets first, the
 /// fencing-off split-brain demo last).
 const std::vector<FailoverTopology>& all_failover_topologies();
 const FailoverTopology* find_failover_topology(const std::string& name);
-
-/// Failover trace files ("# qres_mc failover-trace v1"): same shape as
-/// the signaling traces, pinned under tools/testdata/mc_traces/.
-struct FailoverTraceFile {
-  std::string topology;
-  bool expect_violation = false;
-  std::string expected_invariant;
-  std::vector<FailoverAction> actions;
-};
-
-std::string format_failover_trace(const FailoverTraceFile& trace);
-bool parse_failover_trace(const std::string& text, FailoverTraceFile* out,
-                          std::string* error);
-/// True when `text` starts with the failover trace header (dispatch
-/// helper for `qres_mc replay`).
-bool is_failover_trace(const std::string& text);
-/// Replays a parsed trace and verifies its expectation; false with a
-/// diagnostic in *error otherwise.
-bool run_failover_trace(const FailoverTraceFile& trace, std::string* error);
 
 }  // namespace qres::mc

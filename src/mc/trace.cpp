@@ -2,12 +2,17 @@
 
 #include <cstdint>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "mc/checker.hpp"
 
 namespace qres::mc {
 
 namespace {
+
+constexpr const char* kTraceHeader = "# qres_mc trace v1";
+constexpr const char* kFailoverTraceHeader = "# qres_mc failover-trace v1";
 
 /// "b3" -> (broker 3), "c1" -> (client 1).
 bool parse_endpoint(const std::string& token, std::int32_t* broker,
@@ -123,21 +128,31 @@ bool parse_action(const std::string& line, Action* out) {
 }
 
 std::string format_trace(const TraceFile& trace) {
-  std::string out = "# qres_mc trace v1\n";
+  std::string out =
+      std::holds_alternative<std::vector<FailoverAction>>(trace.actions)
+          ? kFailoverTraceHeader
+          : kTraceHeader;
+  out += "\n";
   out += "topology: " + trace.topology + "\n";
   for (const std::string& pair : trace.overrides)
     out += "config: " + pair + "\n";
   out += trace.expect_violation
              ? "expect: violation " + trace.expected_invariant + "\n"
              : "expect: ok\n";
-  for (const Action& action : trace.actions)
-    out += "action: " + to_string(action) + "\n";
+  std::visit(
+      [&](const auto& actions) {
+        for (const auto& action : actions)
+          out += "action: " + to_string(action) + "\n";
+      },
+      trace.actions);
   return out;
 }
 
 bool parse_trace(const std::string& text, TraceFile* out,
                  std::string* error) {
   *out = TraceFile{};
+  const bool failover = text.rfind(kFailoverTraceHeader, 0) == 0;
+  if (failover) out->actions = std::vector<FailoverAction>{};
   std::istringstream in(text);
   std::string line;
   int lineno = 0;
@@ -160,6 +175,7 @@ bool parse_trace(const std::string& text, TraceFile* out,
       out->topology = value;
       have_topology = true;
     } else if (key == "config") {
+      if (failover) return fail("config overrides are signaling-only");
       McConfig probe;
       if (!apply_config_override(&probe, value))
         return fail("unknown config override '" + value + "'");
@@ -177,10 +193,15 @@ bool parse_trace(const std::string& text, TraceFile* out,
         return fail("expect must be 'ok' or 'violation <invariant>'");
       }
     } else if (key == "action") {
-      Action action;
-      if (!parse_action(value, &action))
-        return fail("malformed action '" + value + "'");
-      out->actions.push_back(action);
+      const bool parsed = std::visit(
+          [&](auto& actions) {
+            typename std::decay_t<decltype(actions)>::value_type action;
+            if (!parse_action(value, &action)) return false;
+            actions.push_back(action);
+            return true;
+          },
+          out->actions);
+      if (!parsed) return fail("malformed action '" + value + "'");
     } else {
       return fail("unknown key '" + key + "'");
     }
@@ -197,36 +218,40 @@ bool parse_trace(const std::string& text, TraceFile* out,
 }
 
 bool run_trace(const TraceFile& trace, std::string* error) {
-  const Topology* topology = find_topology(trace.topology);
-  if (topology == nullptr) {
-    if (error != nullptr) *error = "unknown topology '" + trace.topology + "'";
+  const auto fail = [&](const std::string& message) {
+    if (error != nullptr) *error = message;
     return false;
-  }
-  McConfig config = topology->config;
-  for (const std::string& pair : trace.overrides) {
-    if (!apply_config_override(&config, pair)) {
-      if (error != nullptr) *error = "bad config override '" + pair + "'";
-      return false;
-    }
-  }
+  };
   std::string violated;
-  if (!replay(*topology, config, trace.actions, &violated)) {
-    if (error != nullptr)
-      *error = "an action in the trace is not enabled at its step";
-    return false;
+  bool replayed = false;
+  if (const auto* actions =
+          std::get_if<std::vector<FailoverAction>>(&trace.actions)) {
+    const FailoverTopology* topology = find_failover_topology(trace.topology);
+    if (topology == nullptr)
+      return fail("unknown topology '" + trace.topology + "'");
+    if (!trace.overrides.empty())
+      return fail("config overrides are signaling-only");
+    replayed = replay(*topology, *actions, &violated);
+  } else {
+    const Topology* topology = find_topology(trace.topology);
+    if (topology == nullptr)
+      return fail("unknown topology '" + trace.topology + "'");
+    McConfig config = topology->config;
+    for (const std::string& pair : trace.overrides)
+      if (!apply_config_override(&config, pair))
+        return fail("bad config override '" + pair + "'");
+    replayed = replay(*topology, config,
+                      std::get<std::vector<Action>>(trace.actions), &violated);
   }
+  if (!replayed)
+    return fail("an action in the trace is not enabled at its step");
   if (trace.expect_violation) {
-    if (violated != trace.expected_invariant) {
-      if (error != nullptr)
-        *error = "expected violation '" + trace.expected_invariant +
-                 "', replay produced '" + (violated.empty() ? "ok" : violated) +
-                 "'";
-      return false;
-    }
+    if (violated != trace.expected_invariant)
+      return fail("expected violation '" + trace.expected_invariant +
+                  "', replay produced '" +
+                  (violated.empty() ? "ok" : violated) + "'");
   } else if (!violated.empty()) {
-    if (error != nullptr)
-      *error = "expected a clean replay, got violation '" + violated + "'";
-    return false;
+    return fail("expected a clean replay, got violation '" + violated + "'");
   }
   return true;
 }

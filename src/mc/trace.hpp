@@ -11,17 +11,23 @@
 //   action: deliver b0 id 101 h 6f0e...
 //   ...
 //
-// `topology:` names a built-in micro-topology, `config:` lines override
-// its protocol flags (one key=value per line), and `expect:` is either
-// `ok` or `violation <invariant>`. Replaying applies each action to a
-// fresh World and verifies the expected outcome — checked-in traces under
+// The header line names the model: `# qres_mc trace v1` is the
+// signaling World, `# qres_mc failover-trace v1` the replica-group
+// FailoverWorld (DESIGN.md §14), whose action lines read "grant s0 r0",
+// "promote r1", ... `topology:` names a built-in micro-topology of that
+// model, `config:` lines (signaling only) override its protocol flags
+// (one key=value per line), and `expect:` is either `ok` or
+// `violation <invariant>`. Replaying applies each action to a fresh
+// world and verifies the expected outcome — checked-in traces under
 // tools/testdata/mc_traces/ are permanent regressions for every protocol
 // bug the checker found.
 #pragma once
 
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "mc/failover.hpp"
 #include "mc/topology.hpp"
 #include "mc/world.hpp"
 
@@ -32,14 +38,16 @@ struct TraceFile {
   std::vector<std::string> overrides;  ///< "key=value" config lines
   bool expect_violation = false;
   std::string expected_invariant;  ///< set when expect_violation
-  std::vector<Action> actions;
+  /// The alternative held is the model (and picks the header line).
+  std::variant<std::vector<Action>, std::vector<FailoverAction>> actions;
 };
 
 /// Renders a trace file (stable text; ends with a newline).
 std::string format_trace(const TraceFile& trace);
 
-/// Parses trace text. Returns false (and fills *error) on malformed
-/// input; never throws.
+/// Parses trace text; a leading failover header selects the failover
+/// model, anything else the signaling one. Returns false (and fills
+/// *error) on malformed input; never throws.
 bool parse_trace(const std::string& text, TraceFile* out, std::string* error);
 
 /// Parses one action line body ("deliver b0 id 101 h ..."). The parsed

@@ -7,38 +7,6 @@
 
 namespace qres {
 
-QoSProxy::QoSProxy(HostId host, BrokerRegistry* registry)
-    : host_(host), registry_(registry) {
-  QRES_REQUIRE(host.valid(), "QoSProxy: invalid host");
-  QRES_REQUIRE(registry != nullptr, "QoSProxy: null registry");
-}
-
-void QoSProxy::attach_resource(ResourceId id) {
-  QRES_REQUIRE(id.valid(), "QoSProxy::attach_resource: invalid id");
-  registry_->broker(id);  // validates existence
-  local_.push_back(id);
-}
-
-void QoSProxy::report(const std::vector<ResourceId>& ids, double t,
-                      AvailabilityView& into) const {
-  for (ResourceId id : ids) {
-    QRES_REQUIRE(std::find(local_.begin(), local_.end(), id) != local_.end(),
-                 "QoSProxy::report: resource is not local to this proxy");
-    const ResourceObservation obs = registry_->broker(id).observe(t);
-    into.set(id, obs.available, obs.alpha);
-  }
-}
-
-bool QoSProxy::reserve(ResourceId id, double now, SessionId session,
-                       double amount) {
-  return registry_->broker(id).reserve(now, session, amount);
-}
-
-void QoSProxy::release(ResourceId id, double now, SessionId session,
-                       double amount) {
-  registry_->broker(id).release_amount(now, session, amount);
-}
-
 const char* to_string(EstablishOutcome outcome) noexcept {
   switch (outcome) {
     case EstablishOutcome::kOk: return "ok";

@@ -35,39 +35,6 @@
 
 namespace qres {
 
-/// A QoSProxy: the per-host coordination agent. In this library the proxy
-/// is a thin facade over its host's brokers; the interesting coordination
-/// logic lives in SessionCoordinator (the "main QoSProxy" role).
-class QoSProxy {
- public:
-  QoSProxy(HostId host, BrokerRegistry* registry);
-
-  HostId host() const noexcept { return host_; }
-
-  /// Resources whose brokers this proxy fronts.
-  const std::vector<ResourceId>& local_resources() const noexcept {
-    return local_;
-  }
-  void attach_resource(ResourceId id);
-
-  /// Phase-1 operation: report observations for the requested local
-  /// resources at observation time `t`.
-  void report(const std::vector<ResourceId>& ids, double t,
-              AvailabilityView& into) const;
-
-  /// Phase-3 operation: reserve one plan segment amount with a local
-  /// broker. Returns false on admission failure.
-  bool reserve(ResourceId id, double now, SessionId session, double amount);
-
-  /// Releases a specific amount (used for rollback and teardown).
-  void release(ResourceId id, double now, SessionId session, double amount);
-
- private:
-  HostId host_;
-  BrokerRegistry* registry_;
-  std::vector<ResourceId> local_;
-};
-
 /// Message/overhead accounting for one establishment (paper §4.2: one
 /// round trip per participating proxy plus local algorithm execution).
 struct CoordinationStats {

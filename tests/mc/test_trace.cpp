@@ -12,14 +12,18 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mc/checker.hpp"
-#include "mc/failover.hpp"
 #include "mc/topology.hpp"
 
 namespace qres::mc {
 namespace {
+
+const std::vector<Action>& signaling_actions(const TraceFile& trace) {
+  return std::get<std::vector<Action>>(trace.actions);
+}
 
 TraceFile demo_trace(const char* name) {
   const Topology* t = find_topology(name);
@@ -48,7 +52,7 @@ TEST(McTrace, FormatParseRoundTripIsExact) {
   EXPECT_EQ(parsed.overrides, trace.overrides);
   EXPECT_EQ(parsed.expect_violation, trace.expect_violation);
   EXPECT_EQ(parsed.expected_invariant, trace.expected_invariant);
-  ASSERT_EQ(parsed.actions.size(), trace.actions.size());
+  ASSERT_EQ(signaling_actions(parsed).size(), signaling_actions(trace).size());
   // Format and reparse again: the text form is a fixed point.
   EXPECT_EQ(format_trace(parsed), text);
 }
@@ -102,7 +106,7 @@ TEST(McTrace, ParseRejectsMalformedInput) {
 
 TEST(McTrace, ParseActionRoundTripsEveryVerbInATrace) {
   const TraceFile trace = demo_trace("demo-dedup");
-  for (const Action& action : trace.actions) {
+  for (const Action& action : signaling_actions(trace)) {
     Action parsed;
     ASSERT_TRUE(parse_action(to_string(action), &parsed))
         << to_string(action);
@@ -129,15 +133,8 @@ TEST(McTrace, CheckedInRegressionTracesAllReplay) {
     std::ostringstream text;
     text << in.rdbuf();
     std::string error;
-    // The directory mixes the two trace dialects; each file's header
-    // names its own (exactly how tools/qres_mc replay dispatches).
-    if (is_failover_trace(text.str())) {
-      FailoverTraceFile trace;
-      ASSERT_TRUE(parse_failover_trace(text.str(), &trace, &error))
-          << path << ": " << error;
-      EXPECT_TRUE(run_failover_trace(trace, &error)) << path << ": " << error;
-      continue;
-    }
+    // The directory mixes signaling and failover traces; each file's
+    // header line names its model.
     TraceFile trace;
     ASSERT_TRUE(parse_trace(text.str(), &trace, &error))
         << path << ": " << error;

@@ -128,33 +128,5 @@ TEST(SessionCoordinator, ConstructionContracts) {
                ContractViolation);
 }
 
-TEST(QoSProxy, ReportsOnlyLocalResources) {
-  Fixture f;
-  QoSProxy proxy(HostId{0}, &f.registry);
-  proxy.attach_resource(f.cpu);
-  AvailabilityView view;
-  proxy.report({f.cpu}, 1.0, view);
-  EXPECT_EQ(view.get(f.cpu).available, 100.0);
-  EXPECT_THROW(proxy.report({f.bw}, 1.0, view), ContractViolation);
-}
-
-TEST(QoSProxy, ReserveAndReleaseDelegateToBrokers) {
-  Fixture f;
-  QoSProxy proxy(HostId{0}, &f.registry);
-  proxy.attach_resource(f.cpu);
-  EXPECT_TRUE(proxy.reserve(f.cpu, 1.0, SessionId{1}, 25.0));
-  EXPECT_EQ(f.registry.broker(f.cpu).available(), 75.0);
-  proxy.release(f.cpu, 2.0, SessionId{1}, 25.0);
-  EXPECT_EQ(f.registry.broker(f.cpu).available(), 100.0);
-}
-
-TEST(QoSProxy, ConstructionContracts) {
-  Fixture f;
-  EXPECT_THROW(QoSProxy(HostId{}, &f.registry), ContractViolation);
-  EXPECT_THROW(QoSProxy(HostId{0}, nullptr), ContractViolation);
-  QoSProxy proxy(HostId{0}, &f.registry);
-  EXPECT_THROW(proxy.attach_resource(ResourceId{99}), ContractViolation);
-}
-
 }  // namespace
 }  // namespace qres

@@ -4,7 +4,8 @@
 // resource, unknown replica), its tolerance of non-replication and
 // undecodable frames, and promotion over the wire — including the
 // idempotent re-ack that keeps a lost PromoteReply from wedging the
-// failover coordinator.
+// failover coordinator. A shipped record that does not parse stops its
+// batch at the applied prefix instead of throwing out of the service.
 #include "rpc/replication_link.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "broker/journal.hpp"
 #include "broker/registry.hpp"
 #include "rpc/channel.hpp"
 #include "rpc/wire.hpp"
@@ -151,6 +153,46 @@ TEST(ReplicationLink, ServiceToleratesForeignAndUndecodableFrames) {
   service.handle_frame(frame, 1.0, &replies);
   EXPECT_TRUE(replies.empty());
   EXPECT_EQ(service.stats().decode_rejects, 1u);
+}
+
+TEST(ReplicationLink, UnparseableShippedRecordStopsAtTheAppliedPrefix) {
+  BrokerRegistry registry;
+  const ResourceId rid = add_group(&registry);
+  const ReplicatedBroker* group = registry.replicated(rid);
+  ReplicationService service(&registry);
+
+  // A checksum-valid JournalShip whose middle record does not parse: the
+  // standby applies the good prefix and acks kApplied at that watermark,
+  // exactly as for a refused append — the frame server must not throw.
+  JournalRecord grant;
+  grant.op = JournalOp::kReserve;
+  grant.time = 1.0;
+  grant.resource = rid;
+  grant.session = s1;
+  grant.amount = 10.0;
+  const std::string good = to_line(grant);
+  std::uint64_t request_id = 1;
+  for (const char* bad : {"garbage", "reserve 1 0"}) {
+    const std::uint64_t before = group->watermark_of(hB);
+    const JournalShip ship{{request_id++, hB.value(), kInf, 1},
+                           rid.value(),
+                           group->epoch_of(hB),
+                           before,
+                           {good, bad, good}};
+    std::vector<std::vector<std::uint8_t>> replies;
+    EXPECT_NO_THROW(service.handle_frame(encode(ship), 1.0, &replies))
+        << bad;
+    ASSERT_EQ(replies.size(), 1u) << bad;
+    const Decoded decoded = decode_frame(replies.front());
+    ASSERT_TRUE(decoded.ok()) << bad;
+    const auto* ack = std::get_if<ShipAck>(&decoded.message);
+    ASSERT_NE(ack, nullptr) << bad;
+    EXPECT_EQ(ack->code, RpcCode::kOk) << bad;
+    EXPECT_EQ(ack->watermark, before + 1) << bad;
+    EXPECT_EQ(group->watermark_of(hB), before + 1) << bad;
+  }
+  EXPECT_EQ(group->replica_broker(hB).held_by(s1), 20.0);
+  EXPECT_EQ(service.stats().ships_applied, 2u);
 }
 
 TEST(ReplicationLink, PromoteOverTheWireReacksWhenTheEpochIsInForce) {

@@ -8,15 +8,18 @@
 //       failover topology names start with "failover-"
 //   qres_mc check <topology> [--states N] [--depth N] [--no-por]
 //                 [--config key=value]... [--emit-trace <file>]
-//       exhaustive DFS over the topology under its protocol flags (plus
-//       any --config overrides); prints distinct states, transitions,
-//       reduction ratio, frontier depth, states/sec and the verdict. On a
+//       exhaustive DFS (mc/checker.hpp, one search for both models)
+//       over the topology under its protocol flags, plus any --config
+//       overrides (signaling topologies only); prints distinct states,
+//       transitions, sleep-set reduction (always 0 for failover
+//       topologies), frontier depth, states/sec and the verdict. On a
 //       violation the minimized counterexample is printed (and written
 //       with --emit-trace). Exit: 0 when the outcome matches the
 //       topology's expected verdict, 1 otherwise, 2 on usage errors.
 //   qres_mc replay <trace-file>...
-//       parses each trace, replays it against its named topology and
-//       verifies the expected verdict. Exit 0 iff every trace passes.
+//       parses each trace (its header line names the model), replays it
+//       against its named topology and verifies the expected verdict.
+//       Exit 0 iff every trace passes.
 //   qres_mc sweep [--states N] [--depth N] [--allow-inconclusive]
 //       checks every built-in topology under its own flags and compares
 //       each verdict with the expectation. The CI gate: the release lane
@@ -30,6 +33,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "mc/checker.hpp"
@@ -123,16 +127,34 @@ bool parse_check_flags(int argc, char** argv, int first, CheckOptions* out) {
   return true;
 }
 
-/// Runs the checker on one topology and prints the stats block. Returns
-/// whether the outcome matches the topology's expected verdict.
-bool check_one(const mc::Topology& topology, const CheckOptions& options,
-               bool print_trace) {
+/// The model-specific half of check_one: runs the search and records the
+/// config lines a trace of it needs.
+mc::CheckResult<mc::Action> run_check(const mc::Topology& topology,
+                                      const CheckOptions& options,
+                                      std::vector<std::string>* overrides) {
   mc::McConfig config = topology.config;
   for (const std::string& pair : options.overrides)
     mc::apply_config_override(&config, pair);
+  *overrides = mc::config_overrides(config);
+  return mc::check(topology, config, options.limits);
+}
 
+mc::CheckResult<mc::FailoverAction> run_check(
+    const mc::FailoverTopology& topology, const CheckOptions& options,
+    std::vector<std::string>* /*overrides*/) {
+  return mc::check(topology, options.limits);
+}
+
+/// Runs the checker on one topology (signaling or failover) and prints
+/// the stats block. Returns whether the outcome matches the topology's
+/// expected verdict.
+template <class T>
+bool check_one(const T& topology, const CheckOptions& options,
+               bool print_trace) {
+  mc::TraceFile trace;
+  trace.topology = topology.name;
   const auto start = std::chrono::steady_clock::now();
-  const mc::CheckResult result = mc::check(topology, config, options.limits);
+  const auto result = run_check(topology, options, &trace.overrides);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -163,12 +185,9 @@ bool check_one(const mc::Topology& topology, const CheckOptions& options,
     std::cout << "  verdict          VIOLATION " << result.invariant << " ("
               << result.trace.size() << "-step minimized trace)\n";
     if (print_trace)
-      for (const mc::Action& action : result.trace)
+      for (const auto& action : result.trace)
         std::cout << "    action: " << mc::to_string(action) << "\n";
     if (!options.emit_trace.empty()) {
-      mc::TraceFile trace;
-      trace.topology = topology.name;
-      trace.overrides = mc::config_overrides(config);
       trace.expect_violation = true;
       trace.expected_invariant = result.invariant;
       trace.actions = result.trace;
@@ -205,93 +224,21 @@ bool check_one(const mc::Topology& topology, const CheckOptions& options,
   return expected;
 }
 
-/// Failover-model counterpart of check_one: same stats block shape
-/// (no sleep-set line — the failover DFS has no POR), same
-/// expectation-matching contract.
-bool check_failover_one(const mc::FailoverTopology& topology,
-                        const CheckOptions& options, bool print_trace) {
-  mc::FailoverCheckLimits limits;
-  limits.max_states = options.limits.max_states;
-  limits.max_depth = options.limits.max_depth;
-
-  const auto start = std::chrono::steady_clock::now();
-  const mc::FailoverCheckResult result = mc::check_failover(topology, limits);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  std::cout << "qres_mc: " << topology.name << " — " << topology.summary
-            << "\n"
-            << "  distinct states  " << result.distinct_states << "\n"
-            << "  transitions      " << result.transitions << "\n"
-            << "  revisits         " << result.revisits << "\n"
-            << "  frontier depth   " << result.deepest << "\n"
-            << "  states/sec       "
-            << (seconds > 0.0
-                    ? static_cast<std::uint64_t>(
-                          static_cast<double>(result.distinct_states) /
-                          seconds)
-                    : result.distinct_states)
-            << "\n";
-
-  if (result.violation_found) {
-    std::cout << "  verdict          VIOLATION " << result.invariant << " ("
-              << result.trace.size() << "-step minimized trace)\n";
-    if (print_trace)
-      for (const mc::FailoverAction& action : result.trace)
-        std::cout << "    action: " << mc::to_string(action) << "\n";
-    if (!options.emit_trace.empty()) {
-      mc::FailoverTraceFile trace;
-      trace.topology = topology.name;
-      trace.expect_violation = true;
-      trace.expected_invariant = result.invariant;
-      trace.actions = result.trace;
-      std::ofstream file(options.emit_trace);
-      file << mc::format_failover_trace(trace);
-      if (!file) {
-        std::cerr << "qres_mc: cannot write " << options.emit_trace << "\n";
-        return false;
-      }
-      std::cout << "  trace written to " << options.emit_trace << "\n";
-    }
-  } else if (result.budget_exhausted) {
-    std::cout << "  verdict          INCONCLUSIVE (budget exhausted)\n";
-  } else {
-    std::cout << "  verdict          VERIFIED (exhaustive, no violation)\n";
-  }
-
-  const bool expected =
-      topology.expect_violation
-          ? result.violation_found &&
-                result.invariant == topology.expected_invariant
-          : result.verified() ||
-                (options.allow_inconclusive && !result.violation_found);
-  if (!expected)
-    std::cout << "  EXPECTATION MISMATCH: wanted "
-              << (topology.expect_violation
+template <class T>
+void list_rows(const std::vector<T>& topologies) {
+  for (const T& topology : topologies) {
+    std::cout << "  " << topology.name;
+    for (std::size_t i = topology.name.size(); i < 28; ++i) std::cout << ' ';
+    std::cout << (topology.expect_violation
                       ? "violation " + topology.expected_invariant
-                      : std::string("verified"))
-              << "\n";
-  return expected;
+                      : std::string("verify"));
+    std::cout << "  " << topology.summary << "\n";
+  }
 }
 
 int cmd_list() {
-  for (const mc::FailoverTopology& topology : mc::all_failover_topologies()) {
-    std::cout << "  " << topology.name;
-    for (std::size_t i = topology.name.size(); i < 28; ++i) std::cout << ' ';
-    std::cout << (topology.expect_violation
-                      ? "violation " + topology.expected_invariant
-                      : std::string("verify"));
-    std::cout << "  " << topology.summary << "\n";
-  }
-  for (const mc::Topology& topology : mc::all_topologies()) {
-    std::cout << "  " << topology.name;
-    for (std::size_t i = topology.name.size(); i < 28; ++i) std::cout << ' ';
-    std::cout << (topology.expect_violation
-                      ? "violation " + topology.expected_invariant
-                      : std::string("verify"));
-    std::cout << "  " << topology.summary << "\n";
-  }
+  list_rows(mc::all_failover_topologies());
+  list_rows(mc::all_topologies());
   return 0;
 }
 
@@ -316,7 +263,7 @@ int cmd_check(int argc, char** argv) {
     std::cerr << "qres_mc: --config does not apply to failover topologies\n";
     return 2;
   }
-  return check_failover_one(*failover, options, /*print_trace=*/true) ? 0 : 1;
+  return check_one(*failover, options, /*print_trace=*/true) ? 0 : 1;
 }
 
 int cmd_replay(int argc, char** argv) {
@@ -332,26 +279,6 @@ int cmd_replay(int argc, char** argv) {
     std::ostringstream text;
     text << file.rdbuf();
     std::string error;
-    if (mc::is_failover_trace(text.str())) {
-      mc::FailoverTraceFile trace;
-      if (!mc::parse_failover_trace(text.str(), &trace, &error)) {
-        std::cout << argv[i] << ": PARSE ERROR (" << error << ")\n";
-        all_ok = false;
-        continue;
-      }
-      if (!mc::run_failover_trace(trace, &error)) {
-        std::cout << argv[i] << ": FAILED (" << error << ")\n";
-        all_ok = false;
-        continue;
-      }
-      std::cout << argv[i] << ": ok (" << trace.actions.size()
-                << " action(s), "
-                << (trace.expect_violation
-                        ? "violation " + trace.expected_invariant
-                        : std::string("clean"))
-                << ")\n";
-      continue;
-    }
     mc::TraceFile trace;
     if (!mc::parse_trace(text.str(), &trace, &error)) {
       std::cout << argv[i] << ": PARSE ERROR (" << error << ")\n";
@@ -363,7 +290,9 @@ int cmd_replay(int argc, char** argv) {
       all_ok = false;
       continue;
     }
-    std::cout << argv[i] << ": ok (" << trace.actions.size() << " action(s), "
+    const std::size_t steps = std::visit(
+        [](const auto& actions) { return actions.size(); }, trace.actions);
+    std::cout << argv[i] << ": ok (" << steps << " action(s), "
               << (trace.expect_violation
                       ? "violation " + trace.expected_invariant
                       : std::string("clean"))
@@ -385,8 +314,7 @@ int cmd_sweep(int argc, char** argv) {
   for (const mc::Topology& topology : mc::all_topologies())
     all_ok = check_one(topology, options, /*print_trace=*/false) && all_ok;
   for (const mc::FailoverTopology& topology : mc::all_failover_topologies())
-    all_ok =
-        check_failover_one(topology, options, /*print_trace=*/false) && all_ok;
+    all_ok = check_one(topology, options, /*print_trace=*/false) && all_ok;
   std::cout << (all_ok ? "sweep: every topology matches its expected verdict\n"
                        : "sweep: FAILED\n");
   return all_ok ? 0 : 1;
