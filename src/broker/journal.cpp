@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,7 +29,6 @@ const char* to_string(JournalOp op) noexcept {
 const char* to_string(JournalStatus status) noexcept {
   switch (status) {
     case JournalStatus::kOk: return "ok";
-    case JournalStatus::kOpenFailed: return "open-failed";
     case JournalStatus::kWriteFailed: return "write-failed";
   }
   return "?";
@@ -104,14 +104,46 @@ std::size_t MemoryJournal::drop_tail(std::size_t count) {
 }
 
 // ---------------------------------------------------------------------------
-// Text serialization. Format, one record per line:
-//
-//   <op> t=<time> r=<resource> [s=<session>] [a=<amount>] [l=<lease>]
-//
-// and for snapshots, the full payload appended as counted lists. Doubles
-// use %.17g so parsing reproduces them bit-exactly.
+// Binary layout (see record_fields in journal.hpp).
 
 namespace {
+
+void fields(auto& io, codec::Is<JournalRecord> auto& r) {
+  io.enumeration(r.op, JournalOp::kReplyCache);
+  io.f64(r.time);
+  io.id(r.resource);
+  if (r.op == JournalOp::kSnapshot) {
+    const auto session_value = [&io](auto& p) {
+      io.u32(p.first);
+      io.f64(p.second);
+    };
+    io.bytes(r.name);
+    io.f64(r.capacity);
+    io.f64(r.alpha_window);
+    io.f64(r.history_keep);
+    io.enumeration(r.alpha_mode, AlphaMode::kReportBased);
+    io.flag(r.expiry_log_enabled);
+    io.u64(r.expiry_log_capacity);
+    io.f64(r.reserved);
+    io.list(r.holdings, session_value);
+    io.list(r.lease_deadlines, session_value);
+    io.list(r.history, [&io](auto& p) {
+      io.f64(p.first);
+      io.f64(p.second);
+    });
+  } else if (r.op == JournalOp::kReplyCache) {
+    io.u64(r.request_id);
+    io.flag(r.grouped);
+    io.bytes(r.reply);
+  } else {
+    io.id(r.session);
+    io.f64(r.amount);
+    io.f64(r.lease);
+  }
+}
+
+/// FileJournal record framing: u32 payload length + u64 payload checksum.
+constexpr std::size_t kRecordHeaderBytes = 12;
 
 std::string num(double x) {
   char buf[40];
@@ -119,21 +151,23 @@ std::string num(double x) {
   return buf;
 }
 
-double parse_double(std::istringstream& in, const char* what) {
-  double x = 0.0;
-  if (!(in >> x))
-    throw std::runtime_error(std::string("journal: bad ") + what);
-  return x;
-}
-
-std::uint64_t parse_u64(std::istringstream& in, const char* what) {
-  std::uint64_t x = 0;
-  if (!(in >> x))
-    throw std::runtime_error(std::string("journal: bad ") + what);
-  return x;
-}
-
 }  // namespace
+
+void record_fields(codec::Writer& io, const JournalRecord& record) {
+  fields(io, record);
+}
+
+void record_fields(codec::Reader& io, JournalRecord& record) {
+  fields(io, record);
+}
+
+// ---------------------------------------------------------------------------
+// Text form, one record per line:
+//
+//   <op> <time> <resource> [<session> <amount> <lease>]
+//
+// and for snapshots and reply-cache entries their payload as counted
+// lists. Doubles use %.17g, so equal lines mean bit-identical values.
 
 std::string to_line(const JournalRecord& record) {
   std::ostringstream out;
@@ -141,9 +175,6 @@ std::string to_line(const JournalRecord& record) {
       << (record.resource.valid() ? record.resource.value()
                                   : ResourceId::kInvalid);
   if (record.op == JournalOp::kSnapshot) {
-    QRES_REQUIRE(!record.name.empty() &&
-                     record.name.find_first_of(" \t\n") == std::string::npos,
-                 "journal: snapshot name must be non-empty, no whitespace");
     out << ' ' << record.name << ' ' << num(record.capacity) << ' '
         << num(record.alpha_window) << ' ' << num(record.history_keep) << ' '
         << static_cast<unsigned>(record.alpha_mode) << ' '
@@ -173,109 +204,43 @@ std::string to_line(const JournalRecord& record) {
   return out.str();
 }
 
-JournalRecord parse_line(const std::string& line) {
-  std::istringstream in(line);
-  std::string op_name;
-  if (!(in >> op_name)) throw std::runtime_error("journal: empty record");
-  JournalRecord record;
-  bool known = false;
-  for (const JournalOp op :
-       {JournalOp::kSnapshot, JournalOp::kReserve, JournalOp::kReserveLeased,
-        JournalOp::kRelease, JournalOp::kReleaseAmount,
-        JournalOp::kRenewLease, JournalOp::kExpire, JournalOp::kRestart,
-        JournalOp::kReplyCache}) {
-    if (op_name == to_string(op)) {
-      record.op = op;
-      known = true;
-      break;
-    }
-  }
-  if (!known) throw std::runtime_error("journal: unknown op '" + op_name + "'");
-  record.time = parse_double(in, "time");
-  record.resource =
-      ResourceId{static_cast<std::uint32_t>(parse_u64(in, "resource"))};
-  if (record.op == JournalOp::kSnapshot) {
-    if (!(in >> record.name))
-      throw std::runtime_error("journal: bad snapshot name");
-    record.capacity = parse_double(in, "capacity");
-    record.alpha_window = parse_double(in, "alpha_window");
-    record.history_keep = parse_double(in, "history_keep");
-    record.alpha_mode =
-        static_cast<AlphaMode>(parse_u64(in, "alpha_mode"));
-    record.expiry_log_enabled = parse_u64(in, "expiry_log_enabled") != 0;
-    record.expiry_log_capacity = parse_u64(in, "expiry_log_capacity");
-    record.reserved = parse_double(in, "reserved");
-    const std::uint64_t holdings = parse_u64(in, "holdings count");
-    for (std::uint64_t i = 0; i < holdings; ++i) {
-      const auto session =
-          static_cast<std::uint32_t>(parse_u64(in, "holding session"));
-      record.holdings.push_back(
-          {session, parse_double(in, "holding amount")});
-    }
-    const std::uint64_t leases = parse_u64(in, "lease count");
-    for (std::uint64_t i = 0; i < leases; ++i) {
-      const auto session =
-          static_cast<std::uint32_t>(parse_u64(in, "lease session"));
-      record.lease_deadlines.push_back(
-          {session, parse_double(in, "lease deadline")});
-    }
-    const std::uint64_t history = parse_u64(in, "history count");
-    for (std::uint64_t i = 0; i < history; ++i) {
-      const double time = parse_double(in, "history time");
-      record.history.push_back({time, parse_double(in, "history value")});
-    }
-    return record;
-  }
-  if (record.op == JournalOp::kReplyCache) {
-    record.request_id = parse_u64(in, "request id");
-    record.grouped = parse_u64(in, "grouped flag") != 0;
-    const std::uint64_t bytes = parse_u64(in, "reply byte count");
-    std::string hex;
-    if (bytes > 0 && !(in >> hex))
-      throw std::runtime_error("journal: bad reply bytes");
-    if (hex.size() != bytes * 2)
-      throw std::runtime_error("journal: reply hex length mismatch");
-    record.reply.reserve(bytes);
-    const auto nibble = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      throw std::runtime_error("journal: bad reply hex digit");
-    };
-    for (std::uint64_t i = 0; i < bytes; ++i)
-      record.reply.push_back(static_cast<std::uint8_t>(
-          (nibble(hex[2 * i]) << 4) | nibble(hex[2 * i + 1])));
-    return record;
-  }
-  record.session =
-      SessionId{static_cast<std::uint32_t>(parse_u64(in, "session"))};
-  record.amount = parse_double(in, "amount");
-  record.lease = parse_double(in, "lease");
-  return record;
-}
-
 // ---------------------------------------------------------------------------
 // FileJournal
 
 FileJournal::FileJournal(std::string path, bool truncate)
     : path_(std::move(path)) {
-  std::ofstream file(path_, truncate ? std::ios::trunc : std::ios::app);
-  if (!file)
-    throw std::runtime_error("FileJournal: cannot open " + path_);
+  if (truncate) {
+    // Truncate through a handle of its own: on ext4 (auto_da_alloc),
+    // closing the handle that truncated a file flushes what was written
+    // through it, and the next truncate of the path waits for that flush,
+    // which made re-creating a journal about three times slower.
+    std::FILE* fresh = std::fopen(path_.c_str(), "wb");
+    if (fresh == nullptr)
+      throw std::runtime_error("FileJournal: cannot open " + path_);
+    std::fclose(fresh);
+  }
+  file_.reset(std::fopen(path_.c_str(), "ab"));
+  if (!file_) throw std::runtime_error("FileJournal: cannot open " + path_);
 }
 
 JournalStatus FileJournal::append(const JournalRecord& record) {
   MutexLock lock(mutex_);
-  std::ofstream file(path_, std::ios::app);
-  if (!file) return JournalStatus::kOpenFailed;
-  file << to_line(record) << '\n';
-  // qres-lint: allow(unchecked-status): ofstream::flush (name-collides with
-  // ReplicatedBroker::flush) returns the stream; durability is checked via
-  // the stream state on the next line
-  file.flush();
-  // A failed flush means the line may be torn or absent on disk: the
-  // record is not durable and the counter must not claim it is. The
-  // caller (ResourceBroker::journal_append) fails the operation.
-  if (!file) return JournalStatus::kWriteFailed;
+  buffer_.assign(kRecordHeaderBytes, 0);
+  codec::Writer w(&buffer_);
+  record_fields(w, record);
+  const std::size_t length = buffer_.size() - kRecordHeaderBytes;
+  QRES_REQUIRE(length <= UINT32_MAX, "FileJournal: record exceeds 4 GiB");
+  codec::store_le(buffer_.data(), static_cast<std::uint32_t>(length));
+  codec::store_le(buffer_.data() + 4,
+                  codec::fnv1a64(buffer_.data() + kRecordHeaderBytes, length));
+  // A short write or a failed flush means the record may be torn or
+  // absent in the file: it is not written and the counter must not claim
+  // it is. The caller (ResourceBroker::journal_append) fails the
+  // operation.
+  if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_.get()) !=
+          buffer_.size() ||
+      std::fflush(file_.get()) != 0)
+    return JournalStatus::kWriteFailed;
   ++appended_;
   return JournalStatus::kOk;
 }
@@ -291,21 +256,29 @@ std::vector<JournalRecord> FileJournal::load() const {
 }
 
 std::vector<JournalRecord> FileJournal::read_file(const std::string& path) {
-  std::ifstream file(path);
+  std::ifstream file(path, std::ios::binary);
   if (!file)
     throw std::runtime_error("FileJournal: cannot open " + path);
+  const std::vector<std::uint8_t> bytes(std::istreambuf_iterator<char>(file),
+                                        {});
   std::vector<JournalRecord> records;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(file, line)) {
-    ++line_number;
-    if (line.empty() || line[0] == '#') continue;
-    try {
-      records.push_back(parse_line(line));
-    } catch (const std::exception& error) {
-      throw std::runtime_error(path + ":" + std::to_string(line_number) +
-                               ": " + error.what());
-    }
+  std::size_t pos = 0;
+  while (bytes.size() - pos >= kRecordHeaderBytes) {
+    const auto length = codec::load_le<std::uint32_t>(&bytes[pos]);
+    const std::size_t end = pos + kRecordHeaderBytes + length;
+    if (end > bytes.size()) break;  // torn: the record runs past the end
+    const std::uint8_t* payload = &bytes[pos + kRecordHeaderBytes];
+    const bool intact = codec::fnv1a64(payload, length) ==
+                        codec::load_le<std::uint64_t>(&bytes[pos + 4]);
+    if (!intact && end == bytes.size()) break;  // torn last record
+    JournalRecord record;
+    codec::Reader r(payload, length);
+    if (intact) record_fields(r, record);
+    if (!intact || !r.done())
+      throw std::runtime_error(path + ": corrupt journal record at byte " +
+                               std::to_string(pos));
+    records.push_back(std::move(record));
+    pos = end;
   }
   return records;
 }

@@ -23,18 +23,22 @@
 //
 // Two sinks are provided: MemoryJournal (a record vector, used by the
 // simulation and the fuzz harnesses, with an optional "lost unsynced
-// tail" crash model) and FileJournal (an append-only text file, one
-// record per line, used by `qresctl --journal` / `qresctl journal`).
+// tail" crash model) and FileJournal (an append-only file of checksummed
+// binary records, used by `qresctl --journal` / `qresctl journal`). A
+// record has one binary layout, record_fields: FileJournal stores it and
+// the replication wire message JournalShip carries it.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/ids.hpp"
 #include "util/annotations.hpp"
+#include "util/codec.hpp"
 
 namespace qres {
 
@@ -64,8 +68,7 @@ const char* to_string(JournalOp op) noexcept;
 /// died in — the one corruption recovery cannot detect).
 enum class QRES_NODISCARD JournalStatus : std::uint8_t {
   kOk = 0,
-  kOpenFailed,   ///< the sink's backing store could not be (re)opened
-  kWriteFailed,  ///< the record was not durably written (short write)
+  kWriteFailed,  ///< short write or failed flush (to the OS; no fsync)
 };
 
 const char* to_string(JournalStatus status) noexcept;
@@ -108,7 +111,16 @@ struct JournalRecord {
   std::vector<std::pair<std::uint32_t, double>> holdings;
   std::vector<std::pair<std::uint32_t, double>> lease_deadlines;
   std::vector<std::pair<double, double>> history;
+
+  friend bool operator==(const JournalRecord&, const JournalRecord&) = default;
 };
+
+/// The record's binary layout, written once in journal.cpp: op, time and
+/// resource, then the op's own fields, doubles as their bit patterns.
+/// FileJournal stores it and the JournalShip wire message nests it; the
+/// Reader range-checks the enum bytes and bounds counts by the bytes left.
+void record_fields(codec::Writer& io, const JournalRecord& record);
+void record_fields(codec::Reader& io, JournalRecord& record);
 
 /// Where a broker's journal records go. The sink is durable storage: it
 /// must survive the broker's crash (in the simulation this simply means
@@ -178,10 +190,15 @@ class MemoryJournal final : public IJournalSink {
   std::uint64_t compacted_away_ = 0;
 };
 
-/// Append-only file journal: one record per line, human-readable and
-/// exactly round-trippable (doubles are printed with 17 significant
-/// digits). The file is never compacted — `qresctl journal` uses the full
-/// history for its replay-and-compare verification.
+/// Append-only file journal of binary records, each stored as
+///
+///   u32 payload length | u64 FNV-1a 64 of the payload | payload
+///
+/// with the payload in record_fields' layout. The file is never compacted
+/// — `qresctl journal` uses the full history for its replay-and-compare
+/// verification. One handle stays open for the sink's lifetime; each
+/// append is flushed to the OS before it returns but never fsynced, so a
+/// record survives a crash of the process, not of the machine.
 ///
 /// Thread-safe: append() and load() serialize on an internal mutex, so
 /// several brokers running on a ThreadPool may share one sink. The
@@ -200,25 +217,32 @@ class FileJournal final : public IJournalSink {
 
   const std::string& path() const noexcept { return path_; }
 
-  /// Parses a journal file; throws std::runtime_error (with a line
-  /// number) on malformed input.
+  /// Decodes a journal file. A final record that is short or fails its
+  /// checksum is a torn write: it is dropped and the records before it
+  /// are returned. A bad record with bytes after it is corruption and
+  /// throws std::runtime_error naming its byte offset, as does a file
+  /// that cannot be opened.
   static std::vector<JournalRecord> read_file(const std::string& path);
 
  private:
+  struct Closer {
+    void operator()(std::FILE* file) const noexcept { std::fclose(file); }
+  };
+
   std::string path_;  // immutable after construction; no guard needed
   // Guards the file itself: interleaved appends from two threads would
   // corrupt records, and a load() racing an append() could read a torn
-  // line. `mutable` so the logically-const load() can take it.
+  // record. `mutable` so the logically-const load() can take it.
   mutable Mutex mutex_;
+  std::unique_ptr<std::FILE, Closer> file_ QRES_GUARDED_BY(mutex_);
+  std::vector<std::uint8_t> buffer_ QRES_GUARDED_BY(mutex_);  ///< one record
   std::uint64_t appended_ QRES_GUARDED_BY(mutex_) = 0;
 };
 
-/// Serializes one record as a single line (no trailing newline).
+/// Prints one record as a single text line (no trailing newline): the
+/// human-readable form `qresctl journal` shows, and the key tests and
+/// fuzzers compare broker snapshots by.
 std::string to_line(const JournalRecord& record);
-
-/// Parses one line produced by to_line(); throws std::runtime_error on
-/// malformed input.
-JournalRecord parse_line(const std::string& line);
 
 /// The subsequence of `records` belonging to `resource` — several brokers
 /// may share one sink (see JournalRecord::resource).

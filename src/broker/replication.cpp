@@ -1,7 +1,6 @@
 #include "broker/replication.hpp"
 
 #include <algorithm>
-#include <exception>
 
 #include "util/assert.hpp"
 
@@ -81,9 +80,7 @@ void ReplicatedBroker::on_capture(void* owner, std::size_t replica,
   // exactly the split-brain the model checker demonstrates — and a
   // standby's own restart markers/snapshots never enter the group log.
   if (r.role != ReplicaRole::kPrimary || r.epoch != self->epoch()) return;
-  self->ship_log_.push_back(
-      {self->ship_next_, to_line(record),
-       record.op == JournalOp::kReplyCache && record.grouped});
+  self->ship_log_.push_back(record);
   ++self->ship_next_;
   r.watermark = self->ship_next_;
 }
@@ -359,22 +356,21 @@ bool ReplicatedBroker::flush(double now) {
     if (r.role != ReplicaRole::kStandby) continue;
     min_acked = std::min(min_acked, r.acked);
   }
-  while (!ship_log_.empty() && ship_log_.front().seq < min_acked)
+  while (!ship_log_.empty() && ship_next_ - ship_log_.size() < min_acked)
     ship_log_.pop_front();
   return quorum_met(ship_next_);
 }
 
 void ReplicatedBroker::ship_to(Replica& to, double now) {
   while (to.acked < ship_next_) {
-    const std::uint64_t from = std::max(
-        to.acked, ship_log_.empty() ? ship_next_ : ship_log_.front().seq);
+    const std::uint64_t first = ship_next_ - ship_log_.size();
+    const std::uint64_t from = std::max(to.acked, first);
     if (from >= ship_next_) return;  // needed records were pruned away
     ShipBatch batch;
     batch.resource = id_;
     batch.epoch = epoch();
     batch.seq_first = from;
-    const std::size_t base = static_cast<std::size_t>(
-        from - ship_log_.front().seq);
+    const auto base = static_cast<std::size_t>(from - first);
     std::size_t take = std::min<std::size_t>(config_.ship_batch_max,
                                              ship_log_.size() - base);
     // Never cut a batch between a mutation and its grouped reply record:
@@ -382,11 +378,11 @@ void ReplicatedBroker::ship_to(Replica& to, double now) {
     // would re-execute a retried request against surviving holdings —
     // the double grant the journal's drop_tail rule exists to prevent.
     while (base + take < ship_log_.size() &&
-           ship_log_[base + take].grouped_reply)
+           ship_log_[base + take].op == JournalOp::kReplyCache &&
+           ship_log_[base + take].grouped)
       ++take;
-    batch.records.reserve(take);
-    for (std::size_t i = 0; i < take; ++i)
-      batch.records.push_back(ship_log_[base + i].line);
+    batch.records.assign(ship_log_.begin() + base,
+                         ship_log_.begin() + base + take);
     ++stats_.ship_batches;
     stats_.ship_records += batch.records.size();
     std::optional<ShipAckInfo> ack;
@@ -447,14 +443,7 @@ ShipAckInfo ReplicatedBroker::apply_ship(HostId host, const ShipBatch& batch,
   for (std::size_t i = 0; i < batch.records.size(); ++i) {
     const std::uint64_t seq = batch.seq_first + i;
     if (seq < r->watermark) continue;  // idempotent redelivery
-    // Shipped records arrive as wire bytes: one that does not parse stops
-    // the batch at the applied prefix, like a refused append below.
-    JournalRecord rec;
-    try {
-      rec = parse_line(batch.records[i]);
-    } catch (const std::exception&) {
-      break;
-    }
+    const JournalRecord& rec = batch.records[i];
     // The standby's own journal is its durable truth for promotion and
     // restart; a refused append stops the batch at the applied prefix.
     if (r->store->append(rec) != JournalStatus::kOk) break;
@@ -501,8 +490,9 @@ bool ReplicatedBroker::promote(HostId host, std::uint64_t new_epoch,
   // them loses nothing a client was promised.
   if (ship_next_ > r->watermark) {
     stats_.truncated_records += ship_next_ - r->watermark;
-    while (!ship_log_.empty() && ship_log_.back().seq >= r->watermark)
-      ship_log_.pop_back();
+    ship_log_.resize(ship_log_.size() -
+                     std::min<std::uint64_t>(ship_log_.size(),
+                                             ship_next_ - r->watermark));
     ship_next_ = r->watermark;
   }
   for (Replica& o : replicas_) o.acked = std::min(o.acked, ship_next_);

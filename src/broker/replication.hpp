@@ -6,9 +6,9 @@
 // ReplicatedBroker is a group of replicas of one logical resource: the
 // primary serves the IBroker interface exactly like a plain
 // ResourceBroker, and every journal record it writes (the same
-// write-ahead records journal.hpp defines, in their canonical text form)
-// is *shipped* to the standbys, which apply it to a shadow ResourceBroker
-// and acknowledge a replication watermark.
+// write-ahead records journal.hpp defines) is *shipped* to the standbys,
+// which apply it to a shadow ResourceBroker and acknowledge a replication
+// watermark.
 //
 //   * Sync mode: a grant is confirmed only once the configured quorum of
 //     replicas (primary included) holds its journal records. A grant the
@@ -92,14 +92,15 @@ struct QRES_NODISCARD ShipAckInfo {
   std::uint64_t watermark = 0;  ///< records the receiver holds (next seq)
 };
 
-/// One shipped batch: contiguous journal records in canonical text form
-/// (journal.hpp to_line/parse_line), `seq_first` naming records[0]'s
-/// group sequence number.
+/// One shipped batch: contiguous journal records, `seq_first` naming
+/// records[0]'s group sequence number. In process they travel as values;
+/// the RPC adapter carries them in the journal's binary record layout
+/// (journal.hpp record_fields) inside a JournalShip frame.
 struct ShipBatch {
   ResourceId resource;
   std::uint64_t epoch = 0;
   std::uint64_t seq_first = 0;
-  std::vector<std::string> records;
+  std::vector<JournalRecord> records;
 };
 
 /// Transport hook for shipping batches to a standby. Null transport =
@@ -319,14 +320,6 @@ class ReplicatedBroker final : public IBroker {
     std::uint64_t acked = 0;
   };
 
-  struct ShipEntry {
-    std::uint64_t seq;
-    std::string line;
-    /// True for a grouped kReplyCache record: a batch never ends with
-    /// the mutation this record is glued to (see journal.hpp drop_tail).
-    bool grouped_reply;
-  };
-
   static void on_capture(void* owner, std::size_t replica,
                          const JournalRecord& record);
 
@@ -351,11 +344,12 @@ class ReplicatedBroker final : public IBroker {
   ReplicationConfig config_;
   std::vector<HostId> hosts_;
   std::vector<Replica> replicas_;
-  /// Group ship log: records the current primary line has written, in
-  /// text form, numbered contiguously from 0. Promotion truncates it to
-  /// the promoted watermark. Entries below every replica's ack are
-  /// pruned.
-  std::deque<ShipEntry> ship_log_;
+  /// Group ship log: the records the current primary line has written
+  /// are numbered contiguously from 0, and the log holds the newest of
+  /// them, sequence numbers [ship_next_ - size, ship_next_). Promotion
+  /// truncates it to the promoted watermark. Entries below every
+  /// replica's ack are pruned.
+  std::deque<JournalRecord> ship_log_;
   std::uint64_t ship_next_ = 0;  ///< seq of the next captured record
   IShipTransport* transport_ = nullptr;
   bool auto_commit_ = true;

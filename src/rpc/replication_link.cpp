@@ -1,6 +1,7 @@
 #include "rpc/replication_link.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -49,7 +50,7 @@ void ReplicationService::handle_frame(
     std::vector<std::vector<std::uint8_t>>* replies) {
   QRES_REQUIRE(replies != nullptr, "ReplicationService: null reply sink");
   ++stats_.frames;
-  const Decoded decoded = decode_frame(frame);
+  Decoded decoded = decode_frame(frame);
   if (!decoded.ok()) {
     // No reply: the primary's channel retries under the same request id
     // and the watermark protocol absorbs the redelivery.
@@ -57,7 +58,7 @@ void ReplicationService::handle_frame(
     return;
   }
 
-  if (const auto* ship = std::get_if<JournalShip>(&decoded.message)) {
+  if (auto* ship = std::get_if<JournalShip>(&decoded.message)) {
     const ResourceId resource{ship->resource};
     const HostId target{ship->header.session};
     ReplicatedBroker* rep = resource.valid() &&
@@ -70,12 +71,11 @@ void ReplicationService::handle_frame(
           ShipAck{ship->header.request_id, RpcCode::kBadRequest, 0, 0}));
       return;
     }
-    ShipBatch batch;
-    batch.resource = resource;
-    batch.epoch = ship->epoch;
-    batch.seq_first = ship->seq_first;
-    batch.records = ship->records;
-    const ShipAckInfo ack = rep->apply_ship(target, batch, now);
+    const ShipAckInfo ack = rep->apply_ship(
+        target,
+        ShipBatch{resource, ship->epoch, ship->seq_first,
+                  std::move(ship->records)},
+        now);
     if (ack.code == ShipAckCode::kApplied)
       ++stats_.ships_applied;
     else

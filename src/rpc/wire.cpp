@@ -1,502 +1,161 @@
 #include "rpc/wire.hpp"
 
-#include <bit>
-#include <cstring>
-
 #include "util/assert.hpp"
+#include "util/codec.hpp"
 
 namespace qres::rpc {
 
 namespace {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+// ---------------------------------------------------------------------------
+// Payload layouts, one function per message, used both to encode (const
+// message, codec::Writer) and to decode (mutable message, codec::Reader).
+
+void fields(auto& io, codec::Is<RequestHeader> auto& h) {
+  io.u64(h.request_id);
+  io.u32(h.session);
+  io.f64(h.deadline);
+  io.u64(h.epoch);
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+void code(auto& io, auto& c) { io.enumeration(c, RpcCode::kNotPrimary); }
+
+void fields(auto& io, codec::Is<ReserveRequest> auto& m) {
+  fields(io, m.header);
+  io.u32(m.resource);
+  io.f64(m.amount);
+  io.f64(m.lease);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void fields(auto& io, codec::Is<ReserveReply> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.f64(m.available_after);
+  io.f64(m.lease_deadline);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void fields(auto& io, codec::Is<ReleaseRequest> auto& m) {
+  fields(io, m.header);
+  io.u32(m.resource);
+  io.flag(m.release_all);
+  io.f64(m.amount);
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  // IEEE-754 bit pattern: every value (±inf, NaN payloads, -0.0)
-  // round-trips bit-exactly.
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+void fields(auto& io, codec::Is<ReleaseReply> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.f64(m.released);
 }
 
-/// Bounds-checked little-endian payload reader. Never reads past `size`;
-/// a short read flips `ok` and every later read fails fast.
-struct Reader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool take(std::size_t n) {
-    if (!ok || size - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return data[pos++];
-  }
-
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-  }
-
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  bool done() const { return ok && pos == size; }
-};
-
-void put_request_header(std::vector<std::uint8_t>& out,
-                        const RequestHeader& header) {
-  put_u64(out, header.request_id);
-  put_u32(out, header.session);
-  put_f64(out, header.deadline);
-  put_u64(out, header.epoch);
+void fields(auto& io, codec::Is<RenewRequest> auto& m) {
+  fields(io, m.header);
+  io.u32(m.resource);
+  io.f64(m.lease);
 }
 
-RequestHeader read_request_header(Reader& r) {
-  RequestHeader header;
-  header.request_id = r.u64();
-  header.session = r.u32();
-  header.deadline = r.f64();
-  header.epoch = r.u64();
-  return header;
+void fields(auto& io, codec::Is<RenewReply> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.flag(m.renewed);
+  io.f64(m.lease_deadline);
 }
 
-bool read_code(Reader& r, RpcCode* code) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(RpcCode::kNotPrimary)) {
-    r.ok = false;
-    return false;
-  }
-  *code = static_cast<RpcCode>(raw);
-  return true;
+void fields(auto& io, codec::Is<ReconcileRequest> auto& m) {
+  fields(io, m.header);
+  io.u32(m.resource);
+  io.f64(m.claimed);
 }
 
-/// Length-prefixed byte string. The length is bounded by the payload
-/// itself (Reader::take), so no separate cap is needed beyond
-/// kMaxPayloadBytes enforced at the frame level.
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
+void fields(auto& io, codec::Is<ReconcileReply> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.f64(m.held);
 }
 
-bool read_string(Reader& r, std::string* s) {
-  const std::uint32_t len = r.u32();
-  if (!r.take(len)) return false;
-  s->assign(reinterpret_cast<const char*>(r.data + r.pos), len);
-  r.pos += len;
-  return true;
+void fields(auto& io, codec::Is<QueryRequest> auto& m) {
+  fields(io, m.header);
+  io.list(
+      m.entries,
+      [&io](auto& e) {
+        io.u32(e.resource);
+        io.f64(e.observe_at);
+      },
+      kMaxVectorEntries);
 }
 
-/// Reads a u8 that must be 0 or 1 (booleans on the wire).
-std::uint8_t read_bool8(Reader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw > 1) r.ok = false;
-  return raw;
+void fields(auto& io, codec::Is<QueryReply> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.list(
+      m.samples,
+      [&io](auto& s) {
+        io.u32(s.resource);
+        io.f64(s.available);
+        io.f64(s.alpha);
+        io.flag(s.up);
+      },
+      kMaxVectorEntries);
 }
 
-bool read_count(Reader& r, std::uint32_t* count) {
-  *count = r.u32();
-  if (*count > kMaxVectorEntries) {
-    r.ok = false;
-    return false;
-  }
-  return r.ok;
+void fields(auto& io, codec::Is<JournalShip> auto& m) {
+  fields(io, m.header);
+  io.u32(m.resource);
+  io.u64(m.epoch);
+  io.u64(m.seq_first);
+  io.list(
+      m.records, [&io](auto& r) { record_fields(io, r); },
+      kMaxVectorEntries);
 }
 
-void put_payload(std::vector<std::uint8_t>& out, const ReserveRequest& m) {
-  put_request_header(out, m.header);
-  put_u32(out, m.resource);
-  put_f64(out, m.amount);
-  put_f64(out, m.lease);
+void fields(auto& io, codec::Is<ShipAck> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.u64(m.epoch);
+  io.u64(m.watermark);
 }
 
-void put_payload(std::vector<std::uint8_t>& out, const ReserveReply& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_f64(out, m.available_after);
-  put_f64(out, m.lease_deadline);
+void fields(auto& io, codec::Is<PromoteRequest> auto& m) {
+  fields(io, m.header);
+  io.u32(m.resource);
+  io.u64(m.epoch);
 }
 
-void put_payload(std::vector<std::uint8_t>& out, const ReleaseRequest& m) {
-  put_request_header(out, m.header);
-  put_u32(out, m.resource);
-  put_u8(out, m.release_all);
-  put_f64(out, m.amount);
+void fields(auto& io, codec::Is<PromoteReply> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.u64(m.epoch);
+  io.u64(m.watermark);
 }
 
-void put_payload(std::vector<std::uint8_t>& out, const ReleaseReply& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_f64(out, m.released);
+void fields(auto& io, codec::Is<RedirectReply> auto& m) {
+  io.u64(m.request_id);
+  code(io, m.code);
+  io.u64(m.epoch);
+  io.u32(m.primary_host);
 }
 
-void put_payload(std::vector<std::uint8_t>& out, const RenewRequest& m) {
-  put_request_header(out, m.header);
-  put_u32(out, m.resource);
-  put_f64(out, m.lease);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const RenewReply& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_u8(out, m.renewed);
-  put_f64(out, m.lease_deadline);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const ReconcileRequest& m) {
-  put_request_header(out, m.header);
-  put_u32(out, m.resource);
-  put_f64(out, m.claimed);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const ReconcileReply& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_f64(out, m.held);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const QueryRequest& m) {
-  put_request_header(out, m.header);
-  put_u32(out, static_cast<std::uint32_t>(m.entries.size()));
-  for (const QueryEntry& e : m.entries) {
-    put_u32(out, e.resource);
-    put_f64(out, e.observe_at);
-  }
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const QueryReply& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_u32(out, static_cast<std::uint32_t>(m.samples.size()));
-  for (const QuerySample& s : m.samples) {
-    put_u32(out, s.resource);
-    put_f64(out, s.available);
-    put_f64(out, s.alpha);
-    put_u8(out, s.up);
-  }
-}
-
-void put_route(std::vector<std::uint8_t>& out,
-               const std::vector<std::uint32_t>& route) {
-  put_u32(out, static_cast<std::uint32_t>(route.size()));
-  for (const std::uint32_t link : route) put_u32(out, link);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const PathMsg& m) {
-  put_u64(out, m.request_id);
-  put_u64(out, m.flow);
-  put_u32(out, m.from_host);
-  put_u32(out, m.to_host);
-  put_f64(out, m.rate);
-  put_route(out, m.route);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const ResvMsg& m) {
-  put_u64(out, m.request_id);
-  put_u64(out, m.flow);
-  put_f64(out, m.rate);
-  put_route(out, m.route);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const TearMsg& m) {
-  put_u64(out, m.request_id);
-  put_u64(out, m.flow);
-  put_route(out, m.route);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const JournalShip& m) {
-  put_request_header(out, m.header);
-  put_u32(out, m.resource);
-  put_u64(out, m.epoch);
-  put_u64(out, m.seq_first);
-  put_u32(out, static_cast<std::uint32_t>(m.records.size()));
-  for (const std::string& rec : m.records) put_string(out, rec);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const ShipAck& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_u64(out, m.epoch);
-  put_u64(out, m.watermark);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const PromoteRequest& m) {
-  put_request_header(out, m.header);
-  put_u32(out, m.resource);
-  put_u64(out, m.epoch);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const PromoteReply& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_u64(out, m.epoch);
-  put_u64(out, m.watermark);
-}
-
-void put_payload(std::vector<std::uint8_t>& out, const RedirectReply& m) {
-  put_u64(out, m.request_id);
-  put_u8(out, static_cast<std::uint8_t>(m.code));
-  put_u64(out, m.epoch);
-  put_u32(out, m.primary_host);
-}
-
-bool read_route(Reader& r, std::vector<std::uint32_t>* route) {
-  std::uint32_t count = 0;
-  if (!read_count(r, &count)) return false;
-  route->reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) route->push_back(r.u32());
-  return r.ok;
-}
-
+/// Decodes a payload as AnyMessage alternative I, or the next one whose
+/// tag is `type`. The caller has checked that some alternative has it.
+template <std::size_t I = 0>
 Decoded decode_payload(MessageType type, const std::uint8_t* data,
                        std::size_t size) {
-  Reader r{data, size};
-  Decoded out;
-  switch (type) {
-    case MessageType::kReserveRequest: {
-      ReserveRequest m;
-      m.header = read_request_header(r);
-      m.resource = r.u32();
-      m.amount = r.f64();
-      m.lease = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kReserveReply: {
-      ReserveReply m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      m.available_after = r.f64();
-      m.lease_deadline = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kReleaseRequest: {
-      ReleaseRequest m;
-      m.header = read_request_header(r);
-      m.resource = r.u32();
-      m.release_all = read_bool8(r);
-      m.amount = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kReleaseReply: {
-      ReleaseReply m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      m.released = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kRenewRequest: {
-      RenewRequest m;
-      m.header = read_request_header(r);
-      m.resource = r.u32();
-      m.lease = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kRenewReply: {
-      RenewReply m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      m.renewed = read_bool8(r);
-      m.lease_deadline = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kReconcileRequest: {
-      ReconcileRequest m;
-      m.header = read_request_header(r);
-      m.resource = r.u32();
-      m.claimed = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kReconcileReply: {
-      ReconcileReply m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      m.held = r.f64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kQueryRequest: {
-      QueryRequest m;
-      m.header = read_request_header(r);
-      std::uint32_t count = 0;
-      if (read_count(r, &count)) {
-        m.entries.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          QueryEntry e;
-          e.resource = r.u32();
-          e.observe_at = r.f64();
-          m.entries.push_back(e);
-        }
-      }
-      out.message = m;
-      break;
-    }
-    case MessageType::kQueryReply: {
-      QueryReply m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      std::uint32_t count = 0;
-      if (read_count(r, &count)) {
-        m.samples.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          QuerySample s;
-          s.resource = r.u32();
-          s.available = r.f64();
-          s.alpha = r.f64();
-          s.up = read_bool8(r);
-          m.samples.push_back(s);
-        }
-      }
-      out.message = m;
-      break;
-    }
-    case MessageType::kPathMsg: {
-      PathMsg m;
-      m.request_id = r.u64();
-      m.flow = r.u64();
-      m.from_host = r.u32();
-      m.to_host = r.u32();
-      m.rate = r.f64();
-      read_route(r, &m.route);
-      out.message = m;
-      break;
-    }
-    case MessageType::kResvMsg: {
-      ResvMsg m;
-      m.request_id = r.u64();
-      m.flow = r.u64();
-      m.rate = r.f64();
-      read_route(r, &m.route);
-      out.message = m;
-      break;
-    }
-    case MessageType::kTearMsg: {
-      TearMsg m;
-      m.request_id = r.u64();
-      m.flow = r.u64();
-      read_route(r, &m.route);
-      out.message = m;
-      break;
-    }
-    case MessageType::kJournalShip: {
-      JournalShip m;
-      m.header = read_request_header(r);
-      m.resource = r.u32();
-      m.epoch = r.u64();
-      m.seq_first = r.u64();
-      std::uint32_t count = 0;
-      if (read_count(r, &count)) {
-        m.records.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::string rec;
-          if (!read_string(r, &rec)) break;
-          m.records.push_back(std::move(rec));
-        }
-      }
-      out.message = m;
-      break;
-    }
-    case MessageType::kShipAck: {
-      ShipAck m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      m.epoch = r.u64();
-      m.watermark = r.u64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kPromoteRequest: {
-      PromoteRequest m;
-      m.header = read_request_header(r);
-      m.resource = r.u32();
-      m.epoch = r.u64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kPromoteReply: {
-      PromoteReply m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      m.epoch = r.u64();
-      m.watermark = r.u64();
-      out.message = m;
-      break;
-    }
-    case MessageType::kRedirectReply: {
-      RedirectReply m;
-      m.request_id = r.u64();
-      read_code(r, &m.code);
-      m.epoch = r.u64();
-      m.primary_host = r.u32();
-      out.message = m;
-      break;
-    }
-  }
-  if (!r.done()) {
-    out.status = DecodeStatus::kMalformedPayload;
-    return out;
-  }
-  out.status = DecodeStatus::kOk;
-  return out;
+  if constexpr (I + 1 < kMessageTypes.size())
+    if (kMessageTypes[I] != type)
+      return decode_payload<I + 1>(type, data, size);
+  codec::Reader r(data, size);
+  std::variant_alternative_t<I, AnyMessage> m;
+  fields(r, m);
+  if (!r.done()) return {DecodeStatus::kMalformedPayload, {}};
+  return {DecodeStatus::kOk, std::move(m)};
 }
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a64_accum(std::uint64_t hash, const std::uint8_t* data,
-                            std::size_t size) noexcept {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
+bool known_type(std::uint8_t raw) noexcept {
+  for (const MessageType type : kMessageTypes)
+    if (static_cast<std::uint8_t>(type) == raw) return true;
+  return false;
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) noexcept {
-  return fnv1a64_accum(kFnvOffset, data, size);
-}
 
 const char* to_string(MessageType type) noexcept {
   switch (type) {
@@ -510,9 +169,6 @@ const char* to_string(MessageType type) noexcept {
     case MessageType::kReconcileReply: return "reconcile-reply";
     case MessageType::kQueryRequest: return "query-request";
     case MessageType::kQueryReply: return "query-reply";
-    case MessageType::kPathMsg: return "path";
-    case MessageType::kResvMsg: return "resv";
-    case MessageType::kTearMsg: return "tear";
     case MessageType::kJournalShip: return "journal-ship";
     case MessageType::kShipAck: return "ship-ack";
     case MessageType::kPromoteRequest: return "promote-request";
@@ -551,8 +207,7 @@ const char* to_string(DecodeStatus status) noexcept {
 }
 
 MessageType message_type(const AnyMessage& message) noexcept {
-  // The variant's alternative order matches the MessageType values 1..18.
-  return static_cast<MessageType>(message.index() + 1);
+  return kMessageTypes[message.index()];
 }
 
 std::uint64_t request_id_of(const AnyMessage& message) noexcept {
@@ -579,9 +234,6 @@ bool is_request(MessageType type) noexcept {
     case MessageType::kRenewReply:
     case MessageType::kReconcileReply:
     case MessageType::kQueryReply:
-    case MessageType::kPathMsg:
-    case MessageType::kResvMsg:
-    case MessageType::kTearMsg:
     case MessageType::kJournalShip:
     case MessageType::kShipAck:
     case MessageType::kPromoteRequest:
@@ -598,60 +250,48 @@ bool is_replication_request(MessageType type) noexcept {
 }
 
 std::vector<std::uint8_t> encode(const AnyMessage& message) {
-  std::vector<std::uint8_t> payload;
-  std::visit([&payload](const auto& m) { put_payload(payload, m); }, message);
-  QRES_REQUIRE(payload.size() <= kMaxPayloadBytes,
-               "rpc::encode: payload exceeds kMaxPayloadBytes");
-
   std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderSize + payload.size());
-  frame.push_back('Q');
-  frame.push_back('R');
-  frame.push_back('P');
-  frame.push_back('C');
-  put_u8(frame, kWireVersion);
-  put_u8(frame, static_cast<std::uint8_t>(message_type(message)));
-  put_u16(frame, 0);  // flags, reserved
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  frame.reserve(kHeaderSize + 64);  // every fixed-size message fits
+  codec::Writer w(&frame);
+  for (const char magic : {'Q', 'R', 'P', 'C'})
+    w.u8(static_cast<std::uint8_t>(magic));
+  w.u8(kWireVersion);
+  w.u8(static_cast<std::uint8_t>(message_type(message)));
+  w.u16(0);  // flags, reserved
+  w.u32(0);  // payload length, patched below
+  w.u64(0);  // checksum, patched below
+  std::visit([&w](const auto& m) { fields(w, m); }, message);
+  const std::size_t length = frame.size() - kHeaderSize;
+  QRES_REQUIRE(length <= kMaxPayloadBytes,
+               "rpc::encode: payload exceeds kMaxPayloadBytes");
+  codec::store_le(frame.data() + 8, static_cast<std::uint32_t>(length));
   // Checksum covers the header prefix [0, 12) and the payload.
-  std::uint64_t sum = fnv1a64_accum(kFnvOffset, frame.data(), 12);
-  sum = fnv1a64_accum(sum, payload.data(), payload.size());
-  put_u64(frame, sum);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  const std::uint64_t sum = codec::fnv1a64(
+      frame.data() + kHeaderSize, length, codec::fnv1a64(frame.data(), 12));
+  codec::store_le(frame.data() + 12, sum);
   return frame;
 }
 
 Decoded decode_frame(const std::vector<std::uint8_t>& frame) {
-  Decoded out;
-  const auto fail = [&out](DecodeStatus status) {
-    out.status = status;
-    return out;
-  };
+  const auto fail = [](DecodeStatus status) { return Decoded{status, {}}; };
   if (frame.size() < kHeaderSize) return fail(DecodeStatus::kTruncated);
   const std::uint8_t* d = frame.data();
   if (d[0] != 'Q' || d[1] != 'R' || d[2] != 'P' || d[3] != 'C')
     return fail(DecodeStatus::kBadMagic);
   if (d[4] != kWireVersion) return fail(DecodeStatus::kBadVersion);
-  const std::uint8_t raw_type = d[5];
-  if (raw_type < static_cast<std::uint8_t>(MessageType::kReserveRequest) ||
-      raw_type > static_cast<std::uint8_t>(MessageType::kRedirectReply))
-    return fail(DecodeStatus::kBadType);
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i)
-    length |= static_cast<std::uint32_t>(d[8 + i]) << (8 * i);
+  if (!known_type(d[5])) return fail(DecodeStatus::kBadType);
+  const auto length = codec::load_le<std::uint32_t>(d + 8);
   if (length > kMaxPayloadBytes) return fail(DecodeStatus::kBadLength);
   if (frame.size() < kHeaderSize + length)
     return fail(DecodeStatus::kTruncated);
   if (frame.size() > kHeaderSize + length)
     return fail(DecodeStatus::kTrailingBytes);
-  std::uint64_t declared = 0;
-  for (int i = 0; i < 8; ++i)
-    declared |= static_cast<std::uint64_t>(d[12 + i]) << (8 * i);
-  std::uint64_t sum = fnv1a64_accum(kFnvOffset, d, 12);
-  sum = fnv1a64_accum(sum, d + kHeaderSize, length);
-  if (sum != declared) return fail(DecodeStatus::kChecksumMismatch);
+  const std::uint64_t sum =
+      codec::fnv1a64(d + kHeaderSize, length, codec::fnv1a64(d, 12));
+  if (sum != codec::load_le<std::uint64_t>(d + 12))
+    return fail(DecodeStatus::kChecksumMismatch);
   if (d[6] != 0 || d[7] != 0) return fail(DecodeStatus::kMalformedPayload);
-  return decode_payload(static_cast<MessageType>(raw_type), d + kHeaderSize,
+  return decode_payload(static_cast<MessageType>(d[5]), d + kHeaderSize,
                         length);
 }
 

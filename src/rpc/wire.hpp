@@ -1,9 +1,10 @@
 // Versioned wire format for the broker/proxy control plane (DESIGN.md §12).
 //
 // Every control-plane message — the broker service vocabulary
-// (reserve/release/renew/reconcile/query) and the RSVP signaling trains
-// (Path/Resv/Tear) — has an explicit serialized form: a length-prefixed
-// frame with a fixed little-endian header followed by a typed payload.
+// (reserve/release/renew/reconcile/query) and the replication vocabulary
+// (journal shipping, promotion, redirects) — has an explicit serialized
+// form: a length-prefixed frame with a fixed little-endian header followed
+// by a typed payload.
 //
 //   offset  size  field
 //        0     4  magic "QRPC"
@@ -19,13 +20,16 @@
 // than silently decode as a different message type whose payload happens
 // to share the same layout.
 //
-// Decoding is strict: truncated frames, bad magic, unknown versions or
-// message types, checksum mismatches, malformed payloads (bad counts,
-// short fields) and trailing bytes are all rejected as *typed* DecodeStatus
-// errors — never UB, never a best-effort partial message. Doubles are
-// serialized as their IEEE-754 bit patterns, so every value (including
-// ±inf) round-trips bit-exactly; this is what lets the typed transport be
-// bit-identical to the legacy implicit exchange (tests/fuzz/rpc_fuzz.cpp).
+// Each payload layout is written once (wire.cpp), in the util/codec field
+// language that journal records use too. Decoding is strict: truncated
+// frames, bad magic, unknown versions or message types, checksum
+// mismatches, malformed payloads (bad counts, short fields, out-of-range
+// enum or boolean bytes) and trailing bytes are all rejected as *typed*
+// DecodeStatus errors — never UB, never a best-effort partial message.
+// Doubles are serialized as their IEEE-754 bit patterns, so every value
+// (including ±inf) round-trips bit-exactly; this is what lets the typed
+// transport be bit-identical to the legacy implicit exchange
+// (tests/fuzz/rpc_fuzz.cpp).
 //
 // Versioning: kWireVersion is bumped on any layout change; decoders
 // reject frames from other versions (kBadVersion). The golden-bytes tests
@@ -37,26 +41,31 @@
 // reclaimed holding (DESIGN.md §13). v3 added broker replication
 // (DESIGN.md §14): a fencing `epoch` in every RequestHeader, the
 // kNotPrimary code + RedirectReply redirect hint, and the replication
-// vocabulary (JournalShip/ShipAck, PromoteRequest/PromoteReply).
+// vocabulary (JournalShip/ShipAck, PromoteRequest/PromoteReply). v4 ships
+// JournalShip records in the journal's binary record layout instead of
+// text lines; every other payload is byte-identical to v3.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <variant>
 #include <vector>
 
+#include "broker/journal.hpp"
 #include "core/ids.hpp"
 #include "util/annotations.hpp"
 
 namespace qres::rpc {
 
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kHeaderSize = 20;
 /// Upper bound on one frame's payload; larger length fields are rejected
 /// before any allocation is sized from attacker-controlled input.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
-/// Upper bound on any repeated field's element count.
+/// Upper bound on a message's repeated field (query entries and samples,
+/// shipped records). Counts inside a journal record are bounded by the
+/// payload bytes left instead: a busy broker's snapshot must still ship.
 inline constexpr std::uint32_t kMaxVectorEntries = 4096;
 
 enum class MessageType : std::uint8_t {
@@ -70,9 +79,8 @@ enum class MessageType : std::uint8_t {
   kReconcileReply = 8,
   kQueryRequest = 9,
   kQueryReply = 10,
-  kPathMsg = 11,
-  kResvMsg = 12,
-  kTearMsg = 13,
+  // 11..13 were the RSVP Path/Resv/Tear messages, which nothing sent;
+  // they decode as kBadType.
   kJournalShip = 14,
   kShipAck = 15,
   kPromoteRequest = 16,
@@ -239,41 +247,9 @@ struct QueryReply {
   friend bool operator==(const QueryReply&, const QueryReply&) = default;
 };
 
-/// RSVP Path message: sender template travelling source -> sink along the
-/// route's link ids, pinning per-hop path state.
-struct PathMsg {
-  std::uint64_t request_id = 0;
-  std::uint64_t flow = 0;
-  std::uint32_t from_host = HostId::kInvalid;
-  std::uint32_t to_host = HostId::kInvalid;
-  double rate = 0.0;
-  std::vector<std::uint32_t> route;  ///< link id values, source to sink
-
-  friend bool operator==(const PathMsg&, const PathMsg&) = default;
-};
-
-/// RSVP Resv message: reservation request travelling sink -> source.
-struct ResvMsg {
-  std::uint64_t request_id = 0;
-  std::uint64_t flow = 0;
-  double rate = 0.0;
-  std::vector<std::uint32_t> route;
-
-  friend bool operator==(const ResvMsg&, const ResvMsg&) = default;
-};
-
-/// RSVP Tear message: explicit teardown of a flow's path/resv state.
-struct TearMsg {
-  std::uint64_t request_id = 0;
-  std::uint64_t flow = 0;
-  std::vector<std::uint32_t> route;
-
-  friend bool operator==(const TearMsg&, const TearMsg&) = default;
-};
-
-/// Primary -> standby: a contiguous batch of journal records, shipped in
-/// the broker journal's canonical text form (to_line / parse_line — the
-/// same exactly-round-tripping serialization `qresctl journal` replays).
+/// Primary -> standby: a contiguous batch of journal records, each in the
+/// journal's binary record layout (broker/journal.hpp record_fields — the
+/// layout FileJournal stores, so doubles round-trip bit-exactly).
 /// `seq_first` is the journal sequence number of records[0]; a standby
 /// applies the batch only when seq_first == its watermark (idempotent:
 /// lower batches re-ack, gapped batches are refused so the primary
@@ -283,7 +259,7 @@ struct JournalShip {
   std::uint32_t resource = ResourceId::kInvalid;
   std::uint64_t epoch = 0;
   std::uint64_t seq_first = 0;
-  std::vector<std::string> records;
+  std::vector<JournalRecord> records;
 
   friend bool operator==(const JournalShip&, const JournalShip&) = default;
 };
@@ -337,15 +313,27 @@ struct RedirectReply {
 using AnyMessage =
     std::variant<ReserveRequest, ReserveReply, ReleaseRequest, ReleaseReply,
                  RenewRequest, RenewReply, ReconcileRequest, ReconcileReply,
-                 QueryRequest, QueryReply, PathMsg, ResvMsg, TearMsg,
-                 JournalShip, ShipAck, PromoteRequest, PromoteReply,
-                 RedirectReply>;
+                 QueryRequest, QueryReply, JournalShip, ShipAck,
+                 PromoteRequest, PromoteReply, RedirectReply>;
+
+/// Every MessageType, in AnyMessage's alternative order.
+inline constexpr std::array<MessageType, std::variant_size_v<AnyMessage>>
+    kMessageTypes = {
+        MessageType::kReserveRequest, MessageType::kReserveReply,
+        MessageType::kReleaseRequest, MessageType::kReleaseReply,
+        MessageType::kRenewRequest,   MessageType::kRenewReply,
+        MessageType::kReconcileRequest, MessageType::kReconcileReply,
+        MessageType::kQueryRequest,   MessageType::kQueryReply,
+        MessageType::kJournalShip,    MessageType::kShipAck,
+        MessageType::kPromoteRequest, MessageType::kPromoteReply,
+        MessageType::kRedirectReply,
+};
 
 /// The message's wire type tag.
 MessageType message_type(const AnyMessage& message) noexcept;
 
 /// The request id of any message (requests carry it in their header,
-/// replies and signaling messages inline).
+/// replies inline).
 std::uint64_t request_id_of(const AnyMessage& message) noexcept;
 
 /// True for the five *Request types the broker service executes.
@@ -371,8 +359,5 @@ struct QRES_NODISCARD Decoded {
 /// Strictly decodes one frame. Never reads out of bounds, never throws on
 /// malformed input: every failure is a typed DecodeStatus.
 Decoded decode_frame(const std::vector<std::uint8_t>& frame);
-
-/// FNV-1a 64-bit over a byte range (the frame checksum).
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) noexcept;
 
 }  // namespace qres::rpc

@@ -286,7 +286,7 @@ TEST(Replication, GroupedReplyRecordsNeverSplitAcrossBatches) {
   // holdings (the double grant drop_tail exists to prevent).
   for (const auto& [host, batch] : transport.batches) {
     ASSERT_FALSE(batch.records.empty());
-    const JournalRecord last = parse_line(batch.records.back());
+    const JournalRecord& last = batch.records.back();
     if (last.op == JournalOp::kReserve) {
       // The very next shipped record to this host must not be a grouped
       // reply — grouping extends the batch instead.

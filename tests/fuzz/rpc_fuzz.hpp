@@ -5,7 +5,10 @@
 // proves the typed wire layer safe and behavior-preserving:
 //
 //   * codec round-trips: every message type with randomized fields
-//     encodes -> decodes to an equal value and re-encodes bit-identically;
+//     (JournalShip with one random journal record of every op, plus one
+//     batch holding a snapshot with more than kMaxVectorEntries
+//     holdings) encodes -> decodes to an equal value and re-encodes
+//     bit-identically;
 //   * strict rejection: EVERY single-byte flip of a valid frame fails to
 //     decode (the checksum covers the header prefix and the payload), and
 //     every strict prefix / trailing-byte extension is rejected as a

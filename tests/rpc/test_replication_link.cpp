@@ -4,8 +4,8 @@
 // resource, unknown replica), its tolerance of non-replication and
 // undecodable frames, and promotion over the wire — including the
 // idempotent re-ack that keeps a lost PromoteReply from wedging the
-// failover coordinator. A shipped record that does not parse stops its
-// batch at the applied prefix instead of throwing out of the service.
+// failover coordinator. A shipped record whose bytes do not decode makes
+// the whole frame a decode reject, never a throw out of the service.
 #include "rpc/replication_link.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "broker/registry.hpp"
 #include "rpc/channel.hpp"
 #include "rpc/wire.hpp"
+#include "util/codec.hpp"
 
 namespace qres::rpc {
 namespace {
@@ -155,44 +156,43 @@ TEST(ReplicationLink, ServiceToleratesForeignAndUndecodableFrames) {
   EXPECT_EQ(service.stats().decode_rejects, 1u);
 }
 
-TEST(ReplicationLink, UnparseableShippedRecordStopsAtTheAppliedPrefix) {
+TEST(ReplicationLink, MalformedShippedRecordIsADecodeReject) {
   BrokerRegistry registry;
   const ResourceId rid = add_group(&registry);
   const ReplicatedBroker* group = registry.replicated(rid);
   ReplicationService service(&registry);
 
-  // A checksum-valid JournalShip whose middle record does not parse: the
-  // standby applies the good prefix and acks kApplied at that watermark,
-  // exactly as for a refused append — the frame server must not throw.
   JournalRecord grant;
   grant.op = JournalOp::kReserve;
   grant.time = 1.0;
   grant.resource = rid;
   grant.session = s1;
   grant.amount = 10.0;
-  const std::string good = to_line(grant);
-  std::uint64_t request_id = 1;
-  for (const char* bad : {"garbage", "reserve 1 0"}) {
-    const std::uint64_t before = group->watermark_of(hB);
-    const JournalShip ship{{request_id++, hB.value(), kInf, 1},
-                           rid.value(),
-                           group->epoch_of(hB),
-                           before,
-                           {good, bad, good}};
+  const std::uint64_t before = group->watermark_of(hB);
+  const JournalShip ship{{1, hB.value(), kInf, 1}, rid.value(),
+                         group->epoch_of(hB), before, {grant, grant}};
+  // The second record's op byte: payload offset 52 (request header 28,
+  // resource 4, epoch 8, seq_first 8, record count 4) plus the first
+  // reserve record's 33 bytes.
+  constexpr std::size_t kSecondOp = kHeaderSize + 52 + 33;
+  for (const std::uint8_t bad : {std::uint8_t{9}, std::uint8_t{0xff}}) {
+    std::vector<std::uint8_t> frame = encode(ship);
+    ASSERT_EQ(frame[kSecondOp], static_cast<std::uint8_t>(JournalOp::kReserve));
+    frame[kSecondOp] = bad;
+    // A checksum-valid frame, so the record layout is what rejects it.
+    codec::store_le(frame.data() + 12,
+                    codec::fnv1a64(frame.data() + kHeaderSize,
+                                   frame.size() - kHeaderSize,
+                                   codec::fnv1a64(frame.data(), 12)));
+    EXPECT_EQ(decode_frame(frame).status, DecodeStatus::kMalformedPayload);
     std::vector<std::vector<std::uint8_t>> replies;
-    EXPECT_NO_THROW(service.handle_frame(encode(ship), 1.0, &replies))
-        << bad;
-    ASSERT_EQ(replies.size(), 1u) << bad;
-    const Decoded decoded = decode_frame(replies.front());
-    ASSERT_TRUE(decoded.ok()) << bad;
-    const auto* ack = std::get_if<ShipAck>(&decoded.message);
-    ASSERT_NE(ack, nullptr) << bad;
-    EXPECT_EQ(ack->code, RpcCode::kOk) << bad;
-    EXPECT_EQ(ack->watermark, before + 1) << bad;
-    EXPECT_EQ(group->watermark_of(hB), before + 1) << bad;
+    EXPECT_NO_THROW(service.handle_frame(frame, 1.0, &replies));
+    // No reply and nothing applied: the primary re-ships the batch.
+    EXPECT_TRUE(replies.empty());
   }
-  EXPECT_EQ(group->replica_broker(hB).held_by(s1), 20.0);
-  EXPECT_EQ(service.stats().ships_applied, 2u);
+  EXPECT_EQ(service.stats().decode_rejects, 2u);
+  EXPECT_EQ(group->watermark_of(hB), before);
+  EXPECT_EQ(group->replica_broker(hB).held_by(s1), 0.0);
 }
 
 TEST(ReplicationLink, PromoteOverTheWireReacksWhenTheEpochIsInForce) {

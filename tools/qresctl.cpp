@@ -27,8 +27,9 @@
 //                         through the RPC shim (rpc::RpcChannel ->
 //                         BrokerService) and dump the per-peer RPC stats,
 //                         breaker states and service counters
-//   journal               dump the write-ahead journal (per-broker record
-//                         and snapshot counts) and verify it: replay each
+//   journal               dump the write-ahead journal (every record as a
+//                         text line, then per-broker record and snapshot
+//                         counts) and verify it: replay each
 //                         broker's records through
 //                         ResourceBroker::recover() and compare against
 //                         the live broker, bit for bit
@@ -325,6 +326,8 @@ int main(int argc, char** argv) {
             FileJournal::read_file(journal->path());
         std::cout << "journal " << journal->path() << ": " << records.size()
                   << " record(s)\n";
+        for (const JournalRecord& record : records)
+          std::cout << "  " << to_line(record) << "\n";
         bool all_match = true;
         for (std::uint32_t i = 0; i < registry.size(); ++i) {
           const ResourceId id{i};
