@@ -134,7 +134,7 @@ Outcome run(double drop_prob, int crashes, bool heal, double run_length,
   EventQueue queue;
   FaultConfig config;
   config.drop_prob = drop_prob;
-  FaultPlane plane(&queue, rng(), config);
+  FaultPlane plane(rng(), config);
   for (int c = 0; c < crashes; ++c) {
     const auto host = static_cast<std::uint32_t>(
         rng.uniform_int(1, static_cast<int>(world.host_count) - 1));

@@ -83,24 +83,6 @@ void ReservationAuditor::on_reconciled(const Discrepancy& discrepancy) {
   discrepancies_.push_back(discrepancy);
 }
 
-void ReservationAuditor::on_hop_reserved(std::uint64_t flow, LinkId link,
-                                         double bandwidth) {
-  QRES_REQUIRE(link.valid() && bandwidth >= 0.0,
-               "ReservationAuditor::on_hop_reserved: bad arguments");
-  link_expect_[flow][link] += bandwidth;
-}
-
-void ReservationAuditor::on_hop_released(std::uint64_t flow, LinkId link) {
-  auto it = link_expect_.find(flow);
-  if (it == link_expect_.end()) return;
-  it->second.erase(link);
-  if (it->second.empty()) link_expect_.erase(flow);
-}
-
-void ReservationAuditor::on_flow_released(std::uint64_t flow) {
-  link_expect_.erase(flow);
-}
-
 double ReservationAuditor::expected_held(SessionId session,
                                          ResourceId resource) const {
   const auto it = host_expect_.find(session);
@@ -109,24 +91,8 @@ double ReservationAuditor::expected_held(SessionId session,
   return held == it->second.end() ? 0.0 : held->second;
 }
 
-double ReservationAuditor::expected_link_reserved(LinkId link) const {
-  double total = 0.0;
-  for (const auto& [flow, hops] : link_expect_) {
-    const auto it = hops.find(link);
-    if (it != hops.end()) total += it->second;
-  }
-  return total;
-}
-
-std::size_t ReservationAuditor::expected_link_flows(LinkId link) const {
-  std::size_t count = 0;
-  for (const auto& [flow, hops] : link_expect_)
-    if (hops.contains(link)) ++count;
-  return count;
-}
-
 bool ReservationAuditor::model_empty() const noexcept {
-  return host_expect_.empty() && link_expect_.empty();
+  return host_expect_.empty();
 }
 
 std::vector<std::string> ReservationAuditor::audit_hosts() const {
@@ -164,31 +130,6 @@ std::vector<std::string> ReservationAuditor::audit_hosts() const {
     if (std::abs(actual_total - expected_total) > kTolerance)
       violations.push_back(describe("total reserved on " + broker.name(),
                                     expected_total, actual_total));
-  }
-  return violations;
-}
-
-std::vector<std::string> ReservationAuditor::audit_links(
-    const std::function<double(LinkId)>& reserved,
-    const std::function<std::size_t(LinkId)>& flow_count,
-    std::size_t link_count) const {
-  QRES_REQUIRE(reserved != nullptr && flow_count != nullptr,
-               "ReservationAuditor::audit_links: null accessor");
-  std::vector<std::string> violations;
-  for (std::uint32_t l = 0; l < link_count; ++l) {
-    const LinkId link{l};
-    const double expected = expected_link_reserved(link);
-    const double actual = reserved(link);
-    if (std::abs(actual - expected) > kTolerance)
-      violations.push_back(describe(
-          "bandwidth on link " + std::to_string(l), expected, actual));
-    const std::size_t expected_flows = expected_link_flows(link);
-    const std::size_t actual_flows = flow_count(link);
-    if (expected_flows != actual_flows)
-      violations.push_back(describe(
-          "flow count on link " + std::to_string(l),
-          static_cast<double>(expected_flows),
-          static_cast<double>(actual_flows)));
   }
   return violations;
 }

@@ -1,18 +1,16 @@
 // Conservation auditor for faulted simulations.
 //
-// The fault plane makes it possible for reservations to leak: a lost tear
-// message, a crashed proxy that never releases, a duplicate Resv that
-// reserves twice. The ReservationAuditor maintains an independent model of
-// what *should* be held — fed by the harness at every reserve / release /
-// expiry it initiates — and proves the brokers agree:
+// The fault plane makes it possible for reservations to leak: a lost
+// release message, a crashed proxy that never releases, a rollback that
+// never reaches its broker. The ReservationAuditor maintains an
+// independent model of what *should* be held — fed by the harness at
+// every reserve / release / expiry it initiates — and proves the brokers
+// agree:
 //
 //   * per (session, resource): the broker's held_by() equals the model;
 //   * per resource: the broker's total reserved amount equals the sum of
 //     the model's expectations (catching holdings by sessions the model
-//     never heard of — the classic leak);
-//   * per signaling link (audited generically, against accessors the
-//     caller provides): reserved bandwidth and live-flow count match the
-//     model's per-flow hop expectations.
+//     never heard of — the classic leak).
 //
 // At the end of a run, after every session was torn down or expired, the
 // model is empty and the audit degenerates to the conservation proof:
@@ -24,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,18 +84,9 @@ class ReservationAuditor {
     return discrepancies_;
   }
 
-  /// Flow `flow` reserved `bandwidth` on signaling link `link` (one hop).
-  void on_hop_reserved(std::uint64_t flow, LinkId link, double bandwidth);
-  /// One hop of the flow was released (tear or soft-state expiry).
-  void on_hop_released(std::uint64_t flow, LinkId link);
-  /// Every hop of the flow is gone.
-  void on_flow_released(std::uint64_t flow);
-
   // --- Model queries.
 
   double expected_held(SessionId session, ResourceId resource) const;
-  double expected_link_reserved(LinkId link) const;
-  std::size_t expected_link_flows(LinkId link) const;
   /// True when the model expects no outstanding holding anywhere — the
   /// precondition for the end-of-run conservation proof.
   bool model_empty() const noexcept;
@@ -110,13 +98,6 @@ class ReservationAuditor {
   /// they re-enter the audit after restart + reconciliation.
   QRES_NODISCARD std::vector<std::string> audit_hosts() const;
 
-  /// Audits the signaling plane: `reserved(l)` / `flow_count(l)` must
-  /// return the actual state of link l, for all `link_count` links.
-  QRES_NODISCARD std::vector<std::string> audit_links(
-      const std::function<double(LinkId)>& reserved,
-      const std::function<std::size_t(LinkId)>& flow_count,
-      std::size_t link_count) const;
-
  private:
   /// Resolves `resource` to the leaf resources holdings accumulate on.
   std::vector<ResourceId> leaves_of(ResourceId resource) const;
@@ -124,8 +105,6 @@ class ReservationAuditor {
   const BrokerRegistry* registry_;
   /// session -> leaf resource -> expected held amount.
   FlatMap<SessionId, FlatMap<ResourceId, double>> host_expect_;
-  /// flow -> signaling link -> expected reserved bandwidth.
-  FlatMap<std::uint64_t, FlatMap<LinkId, double>> link_expect_;
   std::vector<Discrepancy> discrepancies_;
 };
 

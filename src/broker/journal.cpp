@@ -1,6 +1,7 @@
 #include "broker/journal.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -207,6 +208,45 @@ std::string to_line(const JournalRecord& record) {
 // ---------------------------------------------------------------------------
 // FileJournal
 
+namespace {
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file)
+    throw std::runtime_error("FileJournal: cannot open " + path);
+  return {std::istreambuf_iterator<char>(file), {}};
+}
+
+/// Decodes the records of a journal file's bytes into `records` and
+/// returns where the last intact record ends. A final record that is
+/// short or fails its checksum is torn and ends the scan; a bad record
+/// with bytes after it throws, naming its offset.
+std::size_t scan_records(const std::vector<std::uint8_t>& bytes,
+                         const std::string& path,
+                         std::vector<JournalRecord>* records) {
+  std::size_t pos = 0;
+  while (bytes.size() - pos >= kRecordHeaderBytes) {
+    const auto length = codec::load_le<std::uint32_t>(&bytes[pos]);
+    const std::size_t end = pos + kRecordHeaderBytes + length;
+    if (end > bytes.size()) break;  // torn: the record runs past the end
+    const std::uint8_t* payload = &bytes[pos + kRecordHeaderBytes];
+    const bool intact = codec::fnv1a64(payload, length) ==
+                        codec::load_le<std::uint64_t>(&bytes[pos + 4]);
+    if (!intact && end == bytes.size()) break;  // torn last record
+    JournalRecord record;
+    codec::Reader r(payload, length);
+    if (intact) record_fields(r, record);
+    if (!intact || !r.done())
+      throw std::runtime_error(path + ": corrupt journal record at byte " +
+                               std::to_string(pos));
+    records->push_back(std::move(record));
+    pos = end;
+  }
+  return pos;
+}
+
+}  // namespace
+
 FileJournal::FileJournal(std::string path, bool truncate)
     : path_(std::move(path)) {
   if (truncate) {
@@ -218,6 +258,14 @@ FileJournal::FileJournal(std::string path, bool truncate)
     if (fresh == nullptr)
       throw std::runtime_error("FileJournal: cannot open " + path_);
     std::fclose(fresh);
+  } else if (std::filesystem::exists(path_)) {
+    // A record appended after a torn one would leave the torn bytes
+    // mid-file, where read_file takes them for corruption: cut the file
+    // back to its last intact record first.
+    const std::vector<std::uint8_t> bytes = file_bytes(path_);
+    std::vector<JournalRecord> records;
+    const std::size_t intact = scan_records(bytes, path_, &records);
+    if (intact < bytes.size()) std::filesystem::resize_file(path_, intact);
   }
   file_.reset(std::fopen(path_.c_str(), "ab"));
   if (!file_) throw std::runtime_error("FileJournal: cannot open " + path_);
@@ -256,30 +304,8 @@ std::vector<JournalRecord> FileJournal::load() const {
 }
 
 std::vector<JournalRecord> FileJournal::read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file)
-    throw std::runtime_error("FileJournal: cannot open " + path);
-  const std::vector<std::uint8_t> bytes(std::istreambuf_iterator<char>(file),
-                                        {});
   std::vector<JournalRecord> records;
-  std::size_t pos = 0;
-  while (bytes.size() - pos >= kRecordHeaderBytes) {
-    const auto length = codec::load_le<std::uint32_t>(&bytes[pos]);
-    const std::size_t end = pos + kRecordHeaderBytes + length;
-    if (end > bytes.size()) break;  // torn: the record runs past the end
-    const std::uint8_t* payload = &bytes[pos + kRecordHeaderBytes];
-    const bool intact = codec::fnv1a64(payload, length) ==
-                        codec::load_le<std::uint64_t>(&bytes[pos + 4]);
-    if (!intact && end == bytes.size()) break;  // torn last record
-    JournalRecord record;
-    codec::Reader r(payload, length);
-    if (intact) record_fields(r, record);
-    if (!intact || !r.done())
-      throw std::runtime_error(path + ": corrupt journal record at byte " +
-                               std::to_string(pos));
-    records.push_back(std::move(record));
-    pos = end;
-  }
+  scan_records(file_bytes(path), path, &records);
   return records;
 }
 

@@ -207,7 +207,10 @@ class MemoryJournal final : public IJournalSink {
 class FileJournal final : public IJournalSink {
  public:
   /// Opens `path` for appending (`truncate` starts a fresh journal).
-  /// Throws std::runtime_error when the file cannot be opened.
+  /// Appending to an existing journal first cuts off a torn last record
+  /// (see read_file), so the next record lands after the intact ones.
+  /// Throws std::runtime_error when the file cannot be opened or an
+  /// existing journal is corrupt mid-file.
   explicit FileJournal(std::string path, bool truncate = true);
 
   JournalStatus append(const JournalRecord& record) override

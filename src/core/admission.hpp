@@ -1,14 +1,13 @@
 // Admission-governance interface for the establishment entry points.
 //
 // Overload-aware admission governors are consulted by SessionCoordinator
-// (src/proxy) and AsyncEstablisher (src/signal) before any establishment
-// work is spent: when the bottleneck contention index says the
-// environment is overloaded, doomed establishments are rejected
-// immediately (kOverload) instead of churning the brokers with
-// plan/reserve/rollback rounds. Implementations live in src/adapt (the
-// ContentionMonitor-backed ContentionGovernor); the runtime layers only
-// see this interface, so neither qres_signal nor qres_proxy depends on
-// qres_adapt.
+// (src/proxy) before any establishment work is spent: when the
+// bottleneck contention index says the environment is overloaded, doomed
+// establishments are rejected immediately (kOverload) instead of
+// churning the brokers with plan/reserve/rollback rounds.
+// Implementations live in src/adapt (the ContentionMonitor-backed
+// ContentionGovernor); the proxy layer only sees this interface, so
+// qres_proxy does not depend on qres_adapt.
 #pragma once
 
 namespace qres {

@@ -22,12 +22,12 @@
 
 namespace qres {
 
-/// Retransmission policy for reliable sends: the k-th retransmission
-/// waits min(timeout * backoff^k, max_timeout) after the previous attempt.
-/// When `jitter` > 0, each wait is additionally stretched by a uniform
-/// factor in [1, 1 + jitter] drawn from the transport's seeded stream
-/// (zero jitter draws nothing, preserving the zero-fault bit-identity
-/// contract).
+/// Retransmission policy for reliable sends: at most `max_attempts`
+/// transmissions, the k-th retransmission waiting
+/// min(timeout * backoff^k, max_timeout) after the previous attempt, each
+/// wait stretched by up to a factor (1 + jitter). The RPC shim budgets
+/// these worst-case waits against a propagated deadline and hands the
+/// transport the truncated attempt count (rpc::RpcChannel).
 struct RetryPolicy {
   double timeout = 0.5;      ///< timeout before the first retransmission
   double backoff = 2.0;      ///< multiplier per further retransmission

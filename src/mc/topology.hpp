@@ -56,8 +56,10 @@ struct ClientSpec {
 /// the checker found (see the demo-* topologies).
 struct McConfig {
   /// Server answers kBrokerDown at ingress before consulting the dedup
-  /// cache. Off: a stale cached kOk can be served for a down broker whose
-  /// journal tail (and with it the cached execution) is about to be lost.
+  /// cache (BrokerService's only ordering). Off: the world serves a
+  /// request for a down broker from the cache when it can — a stale
+  /// cached kOk for a broker whose journal tail (and with it the cached
+  /// execution) is about to be lost.
   bool down_check_before_dedup = true;
   /// Server rebuilds the request-id replay cache from the retained
   /// journal on broker restart. Off: a retried request whose first

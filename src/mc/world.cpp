@@ -185,10 +185,7 @@ World::World(const Topology& topology, const McConfig& config)
       proc.registry->leaf(id)->attach_journal(proc.journal.get(),
                                               spec.snapshot_every, 0.0);
     }
-    rpc::BrokerService::Config svc;
-    svc.down_check_before_dedup = cfg_.down_check_before_dedup;
-    proc.service =
-        std::make_unique<rpc::BrokerService>(proc.registry.get(), svc);
+    proc.service = std::make_unique<rpc::BrokerService>(proc.registry.get());
     proc.crashes_left = spec.max_crashes;
     procs_.push_back(std::move(proc));
   }
@@ -556,20 +553,25 @@ void World::deliver_to_broker(const Action& action) {
   const int idx = frame_index(action);
   QRES_REQUIRE(idx >= 0, "mc: deliver of an unknown frame");
   const std::vector<std::uint8_t> bytes = frames_[idx].bytes;
+  const std::uint64_t request_id = frames_[idx].request_id;
   if (--frames_[idx].count == 0) frames_.erase(frames_.begin() + idx);
-  const bool was_up = proc_up(action.broker);
-  const std::uint64_t dup_before =
-      procs_[action.broker].service->stats().duplicates;
+  rpc::BrokerService& service = *procs_[action.broker].service;
   std::vector<std::vector<std::uint8_t>> replies;
-  procs_[action.broker].service->handle_frame(bytes, now_, &replies);
-  // A cached reply describes an execution that journal recovery may
-  // still lose; serving it while the broker is down promises state
-  // nobody can guarantee. The fixed ordering (down-check at ingress,
-  // before the dedup lookup) makes this unreachable.
-  if (!was_up &&
-      procs_[action.broker].service->stats().duplicates > dup_before &&
-      violation_.empty())
-    violation_ = "no-stale-dedup-replay";
+  // The stale-cache ordering: a frontend that consults the replay cache
+  // before checking the broker serves a cached reply while the broker is
+  // down. That reply describes an execution journal recovery may still
+  // lose, so it promises state nobody can guarantee. BrokerService
+  // answers kBrokerDown first (the fixed ordering); the world plays the
+  // other ordering itself.
+  if (!cfg_.down_check_before_dedup && !proc_up(action.broker)) {
+    const rpc::BrokerService::DedupState cache = service.dedup_state();
+    const auto cached = cache.entries.find(request_id);
+    if (cached != cache.entries.end()) {
+      replies.push_back(cached->second.bytes);
+      if (violation_.empty()) violation_ = "no-stale-dedup-replay";
+    }
+  }
+  if (replies.empty()) service.handle_frame(bytes, now_, &replies);
   for (std::vector<std::uint8_t>& reply : replies) {
     const rpc::Decoded decoded = rpc::decode_frame(reply);
     QRES_ENSURE(decoded.ok(), "mc: service produced an undecodable reply");

@@ -255,8 +255,7 @@ void BrokerService::handle_frame(
   // cached kOk from before the crash must not be served while journal
   // recovery may still lose the execution it describes (DESIGN.md §13).
   // Not cached — a retry after restart may succeed.
-  if (config_.down_check_before_dedup && known_resource(resource) &&
-      !registry_->broker(resource).up()) {
+  if (known_resource(resource) && !registry_->broker(resource).up()) {
     {
       MutexLock lock(mutex_);
       ++stats_.broker_down;

@@ -35,7 +35,8 @@
 //   * a request for a down broker is answered kBrokerDown at ingress,
 //     *before* the replay cache is consulted — a cached kOk from before
 //     the crash must not be served while journal recovery may still lose
-//     the grant it describes;
+//     the grant it describes (the model checker's demo-stalededup
+//     topology replays the opposite ordering inside its own world);
 //   * the dedup horizon equals the retained journal: compaction drops
 //     kReplyCache records older than the newest snapshot, so sinks that
 //     compact bound the horizon by snapshot_every (documented trade-off).
@@ -63,11 +64,6 @@ class BrokerService : public IFrameServer {
     /// Execute queued requests immediately after each post (synchronous
     /// coordinator mode). Off = the caller pipelines and drains.
     bool auto_drain = true;
-    /// Answer kBrokerDown at ingress, before the dedup cache is consulted
-    /// (the fixed ordering — see the header comment). Off preserves the
-    /// pre-fix ordering so the checked-in counterexample trace stays
-    /// replayable (tools/testdata/mc_traces/).
-    bool down_check_before_dedup = true;
   };
 
   explicit BrokerService(BrokerRegistry* registry);

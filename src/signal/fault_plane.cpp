@@ -1,53 +1,21 @@
 #include "signal/fault_plane.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace qres {
 
-FaultPlane::FaultPlane(EventQueue* queue, std::uint64_t seed,
-                       FaultConfig defaults)
-    : queue_(queue), rng_(seed), default_config_(defaults) {
-  QRES_REQUIRE(queue != nullptr, "FaultPlane: null event queue");
-  set_default_config(defaults);
-}
-
-namespace {
-
-void require_valid(const FaultConfig& config) {
-  QRES_REQUIRE(config.drop_prob >= 0.0 && config.drop_prob <= 1.0 &&
-                   config.duplicate_prob >= 0.0 &&
-                   config.duplicate_prob <= 1.0 &&
-                   config.delay_prob >= 0.0 && config.delay_prob <= 1.0,
-               "FaultPlane: probabilities must be in [0, 1]");
-  QRES_REQUIRE(config.delay_max >= 0.0,
-               "FaultPlane: delay_max must be non-negative");
-}
-
-}  // namespace
-
-void FaultPlane::set_default_config(const FaultConfig& config) {
-  require_valid(config);
-  default_config_ = config;
-}
-
-void FaultPlane::set_link_config(LinkId link, const FaultConfig& config) {
-  QRES_REQUIRE(link.valid(), "FaultPlane: invalid link");
-  require_valid(config);
-  link_configs_[link] = config;
+FaultPlane::FaultPlane(std::uint64_t seed, FaultConfig defaults)
+    : rng_(seed), config_(defaults) {
+  QRES_REQUIRE(defaults.drop_prob >= 0.0 && defaults.drop_prob <= 1.0,
+               "FaultPlane: drop_prob must be in [0, 1]");
 }
 
 void FaultPlane::crash_host(HostId host, double from, double until) {
   QRES_REQUIRE(host.valid(), "FaultPlane: invalid host");
   QRES_REQUIRE(until > from, "FaultPlane: empty crash window");
   host_windows_.push_back({host.value(), from, until});
-}
-
-void FaultPlane::link_down(LinkId link, double from, double until) {
-  QRES_REQUIRE(link.valid(), "FaultPlane: invalid link");
-  QRES_REQUIRE(until > from, "FaultPlane: empty down window");
-  link_windows_.push_back({link.value(), from, until});
 }
 
 void FaultPlane::crash_broker(ResourceId resource, double from,
@@ -84,94 +52,19 @@ bool FaultPlane::host_up(HostId host, double t) const {
   return true;
 }
 
-bool FaultPlane::link_up(LinkId link, double t) const {
-  for (const Window& w : link_windows_)
-    if (link.valid() && w.id == link.value() && t >= w.from && t < w.until)
-      return false;
-  return true;
-}
-
-const FaultConfig& FaultPlane::config_for(
-    std::optional<LinkId> link) const {
-  if (link) {
-    const auto it = link_configs_.find(*link);
-    if (it != link_configs_.end()) return it->second;
-  }
-  return default_config_;
-}
-
-bool FaultPlane::attempt(const FaultConfig& config,
-                         std::optional<LinkId> link, HostId from, HostId to,
-                         double t, DeliveryFailure* why) {
+ExchangeStatus FaultPlane::attempt(HostId from, HostId to, double t) {
   ++totals_.transmissions;
   if (!host_up(from, t) || !host_up(to, t)) {
     ++totals_.drops;
-    *why = DeliveryFailure::kHostDown;
-    return false;
+    return ExchangeStatus::kPeerDown;
   }
-  if (link && !link_up(*link, t)) {
-    ++totals_.drops;
-    *why = DeliveryFailure::kLinkDown;
-    return false;
-  }
-  // Zero probabilities draw nothing, so an all-zero plane leaves the RNG
+  // A zero probability draws nothing, so an all-zero plane leaves the RNG
   // stream untouched (part of the zero-fault equivalence contract).
-  if (config.drop_prob > 0.0 && rng_.bernoulli(config.drop_prob)) {
+  if (config_.drop_prob > 0.0 && rng_.bernoulli(config_.drop_prob)) {
     ++totals_.drops;
-    *why = DeliveryFailure::kDropped;
-    return false;
+    return ExchangeStatus::kTimeout;
   }
-  return true;
-}
-
-FaultPlane::MessagePlan FaultPlane::plan_message(std::optional<LinkId> link,
-                                                 HostId from, HostId to,
-                                                 double now, double latency,
-                                                 const RetryPolicy& policy) {
-  QRES_REQUIRE(latency >= 0.0, "FaultPlane: negative latency");
-  QRES_REQUIRE(policy.max_attempts >= 1 && policy.timeout > 0.0 &&
-                   policy.backoff >= 1.0 &&
-                   policy.max_timeout >= policy.timeout,
-               "FaultPlane: malformed retry policy");
-  ++totals_.messages;
-  const FaultConfig& config = config_for(link);
-
-  MessagePlan plan;
-  double attempt_time = now;
-  double timeout = policy.timeout;
-  for (int k = 0; k < policy.max_attempts; ++k) {
-    plan.attempts = k + 1;
-    DeliveryFailure why = DeliveryFailure::kDropped;
-    if (attempt(config, link, from, to, attempt_time, &why)) {
-      double extra = 0.0;
-      if (config.delay_prob > 0.0 && rng_.bernoulli(config.delay_prob))
-        extra = rng_.uniform(0.0, config.delay_max);
-      plan.delivered = true;
-      plan.at = attempt_time + latency + extra;
-      if (config.duplicate_prob > 0.0 &&
-          rng_.bernoulli(config.duplicate_prob)) {
-        plan.duplicate = true;
-        // The copy straggles behind the original by up to one delay_max
-        // (or one latency when no delay distribution is configured).
-        const double straggle =
-            config.delay_max > 0.0 ? config.delay_max : latency;
-        plan.duplicate_at = plan.at + rng_.uniform(0.0, straggle);
-        ++totals_.duplicates;
-      }
-      return plan;
-    }
-    plan.failure = why;
-    // A positive jitter stretches this wait by U(1, 1 + jitter); zero
-    // jitter draws nothing (zero-fault equivalence contract).
-    double wait = timeout;
-    if (policy.jitter > 0.0)
-      wait *= 1.0 + rng_.uniform(0.0, policy.jitter);
-    plan.at = attempt_time + wait;  // give-up time if this was the last
-    attempt_time += wait;
-    timeout = std::min(timeout * policy.backoff, policy.max_timeout);
-  }
-  ++totals_.failed_messages;
-  return plan;
+  return ExchangeStatus::kOk;
 }
 
 void FaultPlane::set_rpc_policy(const RetryPolicy& policy) {
@@ -182,31 +75,24 @@ void FaultPlane::set_rpc_policy(const RetryPolicy& policy) {
 
 ExchangeResult FaultPlane::exchange(HostId from, HostId to, double now,
                                     const RetryPolicy* budget) {
-  return try_message(from, to, now, budget != nullptr ? *budget : rpc_policy_);
+  const RetryPolicy& policy = budget != nullptr ? *budget : rpc_policy_;
+  QRES_REQUIRE(policy.max_attempts >= 1,
+               "FaultPlane: malformed retry policy");
+  ++totals_.messages;
+  // The last attempt's failure cause types the whole exchange: a
+  // scripted window means the peer was down; pure random loss is a
+  // silent timeout.
+  ExchangeStatus status = ExchangeStatus::kTimeout;
+  for (int k = 0; k < policy.max_attempts; ++k) {
+    status = attempt(from, to, now);
+    if (status == ExchangeStatus::kOk) return {status, k + 1};
+  }
+  ++totals_.failed_messages;
+  return {status, policy.max_attempts};
 }
 
 bool FaultPlane::reachable(HostId host, double t) const {
   return host_up(host, t);
-}
-
-ExchangeResult FaultPlane::try_message(HostId from, HostId to, double now,
-                                       const RetryPolicy& policy) {
-  QRES_REQUIRE(policy.max_attempts >= 1,
-               "FaultPlane: malformed retry policy");
-  ++totals_.messages;
-  const FaultConfig& config = config_for(std::nullopt);
-  DeliveryFailure why = DeliveryFailure::kDropped;
-  for (int k = 0; k < policy.max_attempts; ++k)
-    if (attempt(config, std::nullopt, from, to, now, &why))
-      return {ExchangeStatus::kOk, k + 1};
-  ++totals_.failed_messages;
-  // The last attempt's failure cause types the whole exchange: scripted
-  // windows mean the peer (or its link) was down; pure random loss is a
-  // silent timeout.
-  const ExchangeStatus status = why == DeliveryFailure::kDropped
-                                    ? ExchangeStatus::kTimeout
-                                    : ExchangeStatus::kPeerDown;
-  return {status, policy.max_attempts};
 }
 
 void FaultPlane::set_frame_config(const rpc::FrameFaultConfig& config) {

@@ -300,6 +300,28 @@ TEST(Journal, ReadFileDropsATornLastRecord) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, AppendingOpenCutsATornLastRecord) {
+  const std::string path = "test_journal_append_torn.wal";
+  const std::vector<JournalRecord> records = write_journal(path);
+  ASSERT_GE(records.size(), 2u);
+  {
+    FileJournal two(path);
+    ASSERT_EQ(two.append(records[0]), JournalStatus::kOk);
+    ASSERT_EQ(two.append(records[1]), JournalStatus::kOk);
+  }
+  // A crash tore the second record: three bytes short.
+  const std::vector<std::uint8_t> whole = file_bytes(path);
+  write_bytes(path, {whole.begin(), whole.end() - 3});
+  {
+    FileJournal reopened(path, /*truncate=*/false);
+    ASSERT_EQ(reopened.append(records[2]), JournalStatus::kOk);
+  }
+  // The torn record is gone and the new one follows the intact first.
+  EXPECT_EQ(FileJournal::read_file(path),
+            (std::vector<JournalRecord>{records[0], records[2]}));
+  std::remove(path.c_str());
+}
+
 TEST(Journal, ReadFileRejectsMidFileCorruption) {
   const std::string path = "test_journal_corrupt.wal";
   ASSERT_EQ(write_journal(path).size(), 4u);

@@ -14,7 +14,6 @@
 #include "proxy/qos_proxy.hpp"
 #include "rpc/broker_service.hpp"
 #include "broker/auditor.hpp"
-#include "core/event_queue.hpp"
 #include "signal/fault_plane.hpp"
 #include "util/rng.hpp"
 
@@ -239,10 +238,9 @@ std::string adaptive_faulted(Rng& rng, AdaptFuzzStats* stats) {
     make_adapt_world(gen, world);
   }
 
-  EventQueue queue;
   FaultConfig fault_config;
   fault_config.drop_prob = rng.uniform(0.0, 0.5);
-  FaultPlane plane(&queue, rng(), fault_config);
+  FaultPlane plane(rng(), fault_config);
   const int crashes = rng.uniform_int(0, 2);
   for (int c = 0; c < crashes; ++c) {
     const auto host = static_cast<std::uint32_t>(rng.uniform_int(

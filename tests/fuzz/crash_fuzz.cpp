@@ -218,9 +218,7 @@ std::string crashed_world(Rng& rng, CrashFuzzStats* stats) {
   // enough that rollback releases leak and re-sync RPCs get lost, so the
   // reconciliation and lease-grace paths are genuinely exercised.
   config.drop_prob = rng.uniform(0.0, 0.6);
-  config.delay_prob = rng.uniform(0.0, 0.3);
-  config.delay_max = rng.uniform(0.0, 0.5);
-  FaultPlane plane(&queue, rng(), config);
+  FaultPlane plane(rng(), config);
 
   // One or two non-overlapping outage windows per resource, every window
   // closed before t=50 so the epilogue runs against live brokers.

@@ -1,7 +1,5 @@
 #include "fault_fuzz.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -12,12 +10,10 @@
 #include "core/planner.hpp"
 #include "proxy/qos_proxy.hpp"
 #include "rpc/broker_service.hpp"
-#include "signal/rsvp.hpp"
 #include "broker/auditor.hpp"
 #include "core/event_queue.hpp"
 #include "signal/fault_plane.hpp"
 #include "sim/lease_keeper.hpp"
-#include "core/topology.hpp"
 #include "util/rng.hpp"
 
 namespace qres::fuzz {
@@ -40,157 +36,6 @@ std::vector<QoSVector> levels(int count) {
   for (int i = 0; i < count; ++i)
     result.push_back(q(static_cast<double>(count - i)));
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Random signaling worlds: a connected topology plus a flow schedule.
-
-struct FlowSpec {
-  FlowKey key = 0;
-  HostId from;
-  HostId to;
-  double bandwidth = 0.0;
-  double open_at = 0.0;
-  /// 0 = leave until the end, 1 = explicit teardown, 2 = stop_refreshing
-  /// (endpoint failure: the soft state must expire on its own).
-  int action = 0;
-  double action_at = 0.0;
-};
-
-struct NetPlan {
-  Topology topo;
-  std::vector<double> caps;
-  std::vector<FlowSpec> flows;
-  double horizon = 60.0;
-};
-
-NetPlan make_net_plan(Rng& rng) {
-  NetPlan plan;
-  const int hosts = rng.uniform_int(4, 6);
-  for (int h = 0; h < hosts; ++h)
-    plan.topo.add_host("h" + std::to_string(h));
-  // A ring keeps every pair routable; chords add route diversity.
-  for (int h = 0; h < hosts; ++h) {
-    plan.topo.add_link("ring" + std::to_string(h),
-                       HostId{static_cast<std::uint32_t>(h)},
-                       HostId{static_cast<std::uint32_t>((h + 1) % hosts)});
-    plan.caps.push_back(rng.uniform(40.0, 120.0));
-  }
-  const int chords = rng.uniform_int(0, 2);
-  for (int c = 0; c < chords; ++c) {
-    const int a = rng.uniform_int(0, hosts - 1);
-    const int b = rng.uniform_int(0, hosts - 1);
-    if (a == b) continue;
-    plan.topo.add_link("chord" + std::to_string(c),
-                       HostId{static_cast<std::uint32_t>(a)},
-                       HostId{static_cast<std::uint32_t>(b)});
-    plan.caps.push_back(rng.uniform(40.0, 120.0));
-  }
-  const int flow_count = rng.uniform_int(3, 8);
-  for (int f = 0; f < flow_count; ++f) {
-    FlowSpec spec;
-    spec.key = 1000u + static_cast<FlowKey>(f);
-    spec.from = HostId{static_cast<std::uint32_t>(
-        rng.uniform_int(0, hosts - 1))};
-    do {
-      spec.to = HostId{static_cast<std::uint32_t>(
-          rng.uniform_int(0, hosts - 1))};
-    } while (spec.to == spec.from);
-    spec.bandwidth = rng.uniform(5.0, 35.0);
-    spec.open_at = rng.uniform(0.0, 15.0);
-    spec.action = rng.uniform_int(0, 2);
-    spec.action_at = spec.open_at + rng.uniform(0.05, 25.0);
-    plan.flows.push_back(spec);
-  }
-  return plan;
-}
-
-struct FlowOutcome {
-  bool done = false;
-  RsvpResult result;
-};
-
-/// Plays a NetPlan on `net`: opens/reserves every flow, applies the
-/// scheduled actions, runs to the horizon, then tears every flow down
-/// (idempotent for ones already gone) and drains the queue.
-void run_net_plan(const NetPlan& plan, RsvpNetwork& net, EventQueue& queue,
-                  std::vector<FlowOutcome>& outcomes) {
-  outcomes.assign(plan.flows.size(), FlowOutcome{});
-  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
-    const FlowSpec spec = plan.flows[i];
-    FlowOutcome* out = &outcomes[i];
-    queue.schedule(spec.open_at, [&net, spec, out] {
-      net.open_path(spec.key, spec.from, spec.to);
-      net.request_reservation(spec.key, spec.bandwidth,
-                              [out](const RsvpResult& r) {
-                                out->done = true;
-                                out->result = r;
-                              });
-    });
-    if (spec.action == 1)
-      queue.schedule(spec.action_at, [&net, spec] { net.teardown(spec.key); });
-    else if (spec.action == 2)
-      queue.schedule(spec.action_at,
-                     [&net, spec] { net.stop_refreshing(spec.key); });
-  }
-  queue.run_until(plan.horizon);
-  for (const FlowSpec& spec : plan.flows) net.teardown(spec.key);
-  queue.run_all();
-}
-
-// ---------------------------------------------------------------------------
-// Zero-fault differential: an attached all-zero plane must be invisible.
-
-std::string rsvp_differential(Rng& rng) {
-  const std::uint64_t world_seed = rng();
-  const std::uint64_t plane_seed = rng();
-  Rng gen_a(world_seed), gen_b(world_seed);
-  NetPlan plan_a = make_net_plan(gen_a);
-  NetPlan plan_b = make_net_plan(gen_b);
-
-  EventQueue queue_a, queue_b;
-  RsvpNetwork net_a(&plan_a.topo, plan_a.caps, &queue_a);
-  FaultPlane inert(&queue_b, plane_seed, FaultConfig{});
-  RsvpNetwork net_b(&plan_b.topo, plan_b.caps, &queue_b);
-  net_b.attach_faults(&inert);
-
-  std::vector<FlowOutcome> out_a, out_b;
-  run_net_plan(plan_a, net_a, queue_a, out_a);
-  run_net_plan(plan_b, net_b, queue_b, out_b);
-
-  for (std::size_t i = 0; i < out_a.size(); ++i) {
-    const FlowOutcome& a = out_a[i];
-    const FlowOutcome& b = out_b[i];
-    if (a.done != b.done)
-      return "rsvp differential: flow " + std::to_string(i) +
-             " completion diverged (plain " + std::to_string(a.done) +
-             " vs faulted " + std::to_string(b.done) + ")";
-    if (!a.done) continue;
-    if (a.result.status != b.result.status)
-      return "rsvp differential: flow " + std::to_string(i) + " status " +
-             std::string(to_string(a.result.status)) + " vs " +
-             to_string(b.result.status);
-    if (a.result.failed_link.value() != b.result.failed_link.value())
-      return "rsvp differential: flow " + std::to_string(i) +
-             " failed_link diverged";
-    if (a.result.completed_at != b.result.completed_at)
-      return "rsvp differential: flow " + std::to_string(i) +
-             " completed_at " + str(a.result.completed_at) + " vs " +
-             str(b.result.completed_at);
-  }
-  for (std::size_t l = 0; l < plan_a.topo.link_count(); ++l) {
-    const LinkId link{static_cast<std::uint32_t>(l)};
-    if (net_a.link_reserved(link) != net_b.link_reserved(link))
-      return "rsvp differential: link " + std::to_string(l) + " reserved " +
-             str(net_a.link_reserved(link)) + " vs " +
-             str(net_b.link_reserved(link));
-    if (net_a.link_flow_count(link) != net_b.link_flow_count(link))
-      return "rsvp differential: link " + std::to_string(l) +
-             " flow count diverged";
-  }
-  if (inert.totals().drops != 0 || inert.totals().duplicates != 0)
-    return "rsvp differential: inert plane faulted a message";
-  return "";
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +108,7 @@ std::string coordinator_differential(Rng& rng) {
   // `plain` runs on its private loopback; `faulted` on an explicitly
   // attached BrokerService whose transport and frame hook are an inert
   // FaultPlane (main host = component 0's host in both).
-  EventQueue queue;
-  FaultPlane inert(&queue, plane_seed, FaultConfig{});
+  FaultPlane inert(plane_seed, FaultConfig{});
   SessionCoordinator plain(world_a.service.get(), world_a.resources,
                            &world_a.registry);
   rpc::BrokerService service(&world_b.registry);
@@ -332,99 +176,6 @@ std::string coordinator_differential(Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Faulted RSVP: random fault schedule, auditor as the oracle.
-
-FaultConfig random_faults(Rng& rng) {
-  FaultConfig config;
-  config.drop_prob = rng.uniform(0.0, 0.3);
-  config.duplicate_prob = rng.uniform(0.0, 0.2);
-  config.delay_prob = rng.uniform(0.0, 0.3);
-  config.delay_max = rng.uniform(0.0, 0.6);
-  return config;
-}
-
-std::string rsvp_faulted(Rng& rng, FaultFuzzStats* stats) {
-  NetPlan plan;
-  {
-    Rng gen(rng());
-    plan = make_net_plan(gen);
-  }
-  EventQueue queue;
-  FaultPlane plane(&queue, rng(), random_faults(rng));
-  const int outages = rng.uniform_int(0, 2);
-  for (int o = 0; o < outages; ++o) {
-    const auto link = static_cast<std::uint32_t>(rng.uniform_int(
-        0, static_cast<int>(plan.topo.link_count()) - 1));
-    const double from = rng.uniform(0.0, 30.0);
-    plane.link_down(LinkId{link}, from, from + rng.uniform(1.0, 10.0));
-  }
-  const int crashes = rng.uniform_int(0, 1);
-  for (int c = 0; c < crashes; ++c) {
-    const auto host = static_cast<std::uint32_t>(rng.uniform_int(
-        0, static_cast<int>(plan.topo.host_count()) - 1));
-    const double from = rng.uniform(0.0, 30.0);
-    plane.crash_host(HostId{host}, from, from + rng.uniform(1.0, 8.0));
-  }
-
-  RsvpNetwork net(&plan.topo, plan.caps, &queue);
-  net.attach_faults(&plane);
-  BrokerRegistry no_hosts;  // links are audited via accessors, hosts unused
-  ReservationAuditor auditor(&no_hosts);
-  net.set_hop_listeners(
-      [&auditor](FlowKey flow, LinkId link, double bandwidth) {
-        auditor.on_hop_reserved(flow, link, bandwidth);
-      },
-      [&auditor](FlowKey flow, LinkId link) {
-        auditor.on_hop_released(flow, link);
-      });
-
-  const auto reserved_fn = [&net](LinkId link) {
-    return net.link_reserved(link);
-  };
-  const auto flows_fn = [&net](LinkId link) {
-    return net.link_flow_count(link);
-  };
-  std::vector<std::string> violations;
-  const auto audit = [&](const char* when) {
-    for (std::string& v :
-         auditor.audit_links(reserved_fn, flows_fn, plan.topo.link_count()))
-      violations.push_back(std::string(when) + ": " + v);
-    if (stats) ++stats->audits;
-  };
-  queue.schedule(30.0, [&audit] { audit("mid-run"); });
-
-  std::vector<FlowOutcome> outcomes;
-  run_net_plan(plan, net, queue, outcomes);
-
-  audit("final");
-  if (!auditor.model_empty())
-    violations.push_back("final: auditor model not empty after teardown");
-  for (std::size_t l = 0; l < plan.topo.link_count(); ++l) {
-    const LinkId link{static_cast<std::uint32_t>(l)};
-    // Tolerance covers release arithmetic dust (sums of reserve/release
-    // pairs), not leaks: a leaked hop is a full bandwidth amount >= 5.
-    if (std::abs(net.link_reserved(link)) > 1e-9)
-      violations.push_back("final: link " + std::to_string(l) + " leaks " +
-                           str(net.link_reserved(link)) + " bandwidth");
-    if (net.link_flow_count(link) != 0)
-      violations.push_back("final: link " + std::to_string(l) +
-                           " has live flow state after teardown");
-  }
-
-  if (stats) {
-    stats->flows += outcomes.size();
-    for (const FlowOutcome& out : outcomes)
-      if (out.done && out.result.ok()) ++stats->flows_established;
-    stats->messages += plane.totals().messages;
-    stats->transmissions += plane.totals().transmissions;
-    stats->drops += plane.totals().drops;
-    stats->duplicates += plane.totals().duplicates;
-  }
-  if (!violations.empty()) return "rsvp faulted: " + violations.front();
-  return "";
-}
-
-// ---------------------------------------------------------------------------
 // Faulted coordinator: leases + recovery + keeper, audited end to end.
 
 std::string coordinator_faulted(Rng& rng, FaultFuzzStats* stats) {
@@ -442,7 +193,7 @@ std::string coordinator_faulted(Rng& rng, FaultFuzzStats* stats) {
   // exchanges (including rollback releases -> leaked holdings) fail often
   // enough that the lease-reclaim path is genuinely exercised.
   config.drop_prob = rng.uniform(0.0, 0.6);
-  FaultPlane plane(&queue, rng(), config);
+  FaultPlane plane(rng(), config);
   const int crashes = rng.uniform_int(0, 2);
   for (int c = 0; c < crashes; ++c) {
     const auto host = static_cast<std::uint32_t>(rng.uniform_int(
@@ -583,7 +334,6 @@ std::string coordinator_faulted(Rng& rng, FaultFuzzStats* stats) {
     stats->messages += plane.totals().messages;
     stats->transmissions += plane.totals().transmissions;
     stats->drops += plane.totals().drops;
-    stats->duplicates += plane.totals().duplicates;
   }
   if (!violations.empty()) return "coordinator faulted: " + violations.front();
   return "";
@@ -598,11 +348,7 @@ std::string run_fault_iteration(std::uint64_t seed, FaultFuzzStats* stats) {
                ? failure
                : "seed " + std::to_string(seed) + ": " + failure;
   };
-  std::string failure = rsvp_differential(rng);
-  if (!failure.empty()) return with_seed(std::move(failure));
-  failure = coordinator_differential(rng);
-  if (!failure.empty()) return with_seed(std::move(failure));
-  failure = rsvp_faulted(rng, stats);
+  std::string failure = coordinator_differential(rng);
   if (!failure.empty()) return with_seed(std::move(failure));
   failure = coordinator_faulted(rng, stats);
   return with_seed(std::move(failure));

@@ -2,20 +2,15 @@
 // "Fault model").
 //
 // Complements fuzz_lib.* (planner/broker invariants): each iteration
-// derives a random fault schedule — per-edge drop/duplicate/delay
-// distributions plus scripted host-crash and link-down windows — from a
-// single seed and drives the fault-tolerant protocols through it:
+// derives a random fault schedule — a per-exchange drop probability plus
+// scripted host-crash windows — from a single seed and drives the
+// fault-tolerant coordinator protocols through it:
 //
 //   * zero-fault differential: with every fault probability zero and no
-//     scripted windows, RSVP signaling must behave *identically* to
-//     running without a FaultPlane, and a coordinator attached to a
-//     BrokerService over the inert plane identically to one on its
-//     private loopback (statuses, completion times, holdings, RPC
-//     accounting, teardowns, link state — exact equality);
-//   * faulted RSVP runs: random flows signaled across a random topology
-//     under random faults, with the ReservationAuditor as the oracle
-//     (hop-level model vs. actual link state, mid-run and at the end) and
-//     an end-of-run conservation proof (zero leaked bandwidth);
+//     scripted windows, a coordinator attached to a BrokerService over
+//     the inert plane must behave *identically* to one on its private
+//     loopback (outcomes, plans, holdings, RPC accounting, teardowns,
+//     broker availability — exact equality);
 //   * faulted coordinator runs: leased establishments with recovery
 //     (EstablishPolicy::max_replans) under RPC loss and proxy crashes,
 //     renewed by a LeaseKeeper; the auditor proves broker accounting
@@ -37,22 +32,17 @@ namespace qres::fuzz {
 
 /// Tallies of what the fault iterations actually exercised.
 struct FaultFuzzStats {
-  std::uint64_t flows = 0;              ///< signaling flows attempted
-  std::uint64_t flows_established = 0;  ///< ... that confirmed kOk
-  std::uint64_t sessions = 0;           ///< coordinator establishments
+  std::uint64_t sessions = 0;         ///< coordinator establishments
   std::uint64_t sessions_established = 0;
   std::uint64_t replans = 0;          ///< recovery re-plan rounds taken
   std::uint64_t leases_expired = 0;   ///< sessions reclaimed by expiry
   std::uint64_t leaked_rollbacks = 0; ///< rollback/teardown releases lost
-  std::uint64_t messages = 0;         ///< logical messages planned
+  std::uint64_t messages = 0;         ///< logical messages exchanged
   std::uint64_t transmissions = 0;    ///< individual attempts
   std::uint64_t drops = 0;            ///< attempts lost
-  std::uint64_t duplicates = 0;       ///< extra copies delivered
   std::uint64_t audits = 0;           ///< audit points evaluated
 
   void merge(const FaultFuzzStats& o) {
-    flows += o.flows;
-    flows_established += o.flows_established;
     sessions += o.sessions;
     sessions_established += o.sessions_established;
     replans += o.replans;
@@ -61,15 +51,13 @@ struct FaultFuzzStats {
     messages += o.messages;
     transmissions += o.transmissions;
     drops += o.drops;
-    duplicates += o.duplicates;
     audits += o.audits;
   }
 };
 
-/// One full fault iteration from a single seed: both zero-fault
-/// differentials, then a faulted RSVP run and a faulted coordinator run,
-/// each audited. Returns the first violation (prefixed with the seed) or
-/// an empty string.
+/// One full fault iteration from a single seed: the zero-fault
+/// differential, then an audited faulted coordinator run. Returns the
+/// first violation (prefixed with the seed) or an empty string.
 std::string run_fault_iteration(std::uint64_t seed,
                                 FaultFuzzStats* stats = nullptr);
 

@@ -10,7 +10,6 @@
 #include "broker/journal.hpp"
 #include "broker/registry.hpp"
 #include "broker/resource_broker.hpp"
-#include "core/event_queue.hpp"
 #include "rpc/broker_service.hpp"
 #include "rpc/channel.hpp"
 #include "rpc/wire.hpp"
@@ -309,8 +308,7 @@ std::string frame_storm(Rng& rng, RpcFuzzStats* stats) {
   }
   rpc::BrokerService service(&registry);
 
-  EventQueue queue;
-  FaultPlane plane(&queue, rng(), FaultConfig{});
+  FaultPlane plane(rng(), FaultConfig{});
   rpc::FrameFaultConfig storm;
   storm.corrupt_prob = rng.uniform(0.0, 0.4);
   storm.duplicate_prob = rng.uniform(0.0, 0.4);

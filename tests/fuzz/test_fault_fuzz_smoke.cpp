@@ -20,8 +20,6 @@ TEST(FaultFuzzSmoke, IterationsAreClean) {
   }
   // A clean run must prove it exercised the fault machinery, not just
   // zero-fault differentials.
-  EXPECT_GT(stats.flows, 0u);
-  EXPECT_GT(stats.flows_established, 0u);
   EXPECT_GT(stats.sessions, 0u);
   EXPECT_GT(stats.sessions_established, 0u);
   EXPECT_GT(stats.drops, 0u);

@@ -1,7 +1,8 @@
 // RpcChannel tests: per-peer circuit breaker state machine (trip,
 // fast-fail, half-open probe, capped cooldown backoff), deadline
-// propagation and budget truncation, request-id stamping, and the typed
-// call path end-to-end against a real BrokerService.
+// propagation and budget truncation (capped backoff and jitter included),
+// request-id stamping, and the typed call path end-to-end against a real
+// BrokerService.
 #include "rpc/channel.hpp"
 
 #include <gtest/gtest.h>
@@ -160,6 +161,56 @@ TEST(RpcChannel, FiniteDeadlineTruncatesTheRetryBudget) {
   EXPECT_EQ(channel.ping(HostId{0}, HostId{1}, 10.0, 100.0).status,
             ExchangeStatus::kTimeout);
   EXPECT_EQ(transport.last_policy.max_attempts, 4);
+}
+
+TEST(RpcChannel, BudgetedBackoffSaturatesExactlyAtMaxTimeout) {
+  FakeTransport transport;
+  RpcChannel::Config config;
+  config.policy.timeout = 1.0;
+  config.policy.backoff = 2.0;
+  config.policy.max_timeout = 4.0;  // == timeout * backoff^2: cap hit exactly
+  config.policy.max_attempts = 5;
+  RpcChannel channel(&transport, nullptr, nullptr, config);
+
+  // Waits are 1, 2, 4, 4: the third reaches the cap and the fourth stays
+  // there instead of growing to 8, so a budget of exactly 11 keeps every
+  // attempt and one just below it loses the last.
+  EXPECT_EQ(channel.ping(HostId{0}, HostId{1}, 0.0, 11.0).status,
+            ExchangeStatus::kTimeout);
+  EXPECT_EQ(transport.last_policy.max_attempts, 5);
+  EXPECT_EQ(channel.ping(HostId{0}, HostId{1}, 0.0, 10.5).status,
+            ExchangeStatus::kDeadlineExceeded);
+  EXPECT_EQ(transport.last_policy.max_attempts, 4);
+
+  // One notch below the cap boundary the schedule still saturates:
+  // waits 1, 2, 3.5, 3.5 fit into 10.
+  config.policy.max_timeout = 3.5;
+  RpcChannel tight(&transport, nullptr, nullptr, config);
+  EXPECT_EQ(tight.ping(HostId{0}, HostId{1}, 0.0, 10.0).status,
+            ExchangeStatus::kTimeout);
+  EXPECT_EQ(transport.last_policy.max_attempts, 5);
+}
+
+TEST(RpcChannel, JitterWidensTheBudgetedWait) {
+  FakeTransport transport;
+  RpcChannel::Config config;
+  config.policy.timeout = 1.0;
+  config.policy.backoff = 2.0;
+  config.policy.max_timeout = 4.0;
+  config.policy.max_attempts = 5;
+  RpcChannel plain(&transport, nullptr, nullptr, config);
+  (void)plain.ping(HostId{0}, HostId{1}, 0.0, 11.0);
+  EXPECT_EQ(transport.last_policy.max_attempts, 5);
+
+  // Jitter 0.25 budgets every wait at its worst case, 1.25x: 1.25, 2.5,
+  // 5, 5. The same deadline now fits one attempt fewer.
+  config.policy.jitter = 0.25;
+  RpcChannel jittered(&transport, nullptr, nullptr, config);
+  EXPECT_EQ(jittered.ping(HostId{0}, HostId{1}, 0.0, 11.0).status,
+            ExchangeStatus::kDeadlineExceeded);
+  EXPECT_EQ(transport.last_policy.max_attempts, 4);
+  (void)jittered.ping(HostId{0}, HostId{1}, 0.0, 13.75);
+  EXPECT_EQ(transport.last_policy.max_attempts, 5);
 }
 
 TEST(RpcChannel, LoopbackSpendsNoTransportAttempt) {

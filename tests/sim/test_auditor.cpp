@@ -27,8 +27,6 @@ TEST(ReservationAuditor, Contracts) {
                ContractViolation);
   EXPECT_THROW(f.auditor.on_reserved(SessionId{1}, f.cpu, -1.0),
                ContractViolation);
-  EXPECT_THROW(f.auditor.on_hop_reserved(1, LinkId{}, 1.0),
-               ContractViolation);
 }
 
 TEST(ReservationAuditor, MatchingModelAndBrokersPass) {
@@ -91,35 +89,6 @@ TEST(ReservationAuditor, OnReleasedCapsAtExpectation) {
   EXPECT_TRUE(f.auditor.model_empty());
   // Releasing an unknown session is a no-op, like the brokers'.
   f.auditor.on_released(SessionId{99}, f.cpu, 1.0);
-}
-
-TEST(ReservationAuditor, LinkModelTracksHops) {
-  Fixture f;
-  f.auditor.on_hop_reserved(7, LinkId{0}, 5.0);
-  f.auditor.on_hop_reserved(7, LinkId{1}, 5.0);
-  f.auditor.on_hop_reserved(8, LinkId{0}, 3.0);
-  EXPECT_EQ(f.auditor.expected_link_reserved(LinkId{0}), 8.0);
-  EXPECT_EQ(f.auditor.expected_link_flows(LinkId{0}), 2u);
-  EXPECT_EQ(f.auditor.expected_link_flows(LinkId{1}), 1u);
-
-  const auto reserved = [](LinkId link) {
-    return link.value() == 0 ? 8.0 : 5.0;
-  };
-  const auto flows = [](LinkId link) {
-    return link.value() == 0 ? std::size_t{2} : std::size_t{1};
-  };
-  EXPECT_TRUE(f.auditor.audit_links(reserved, flows, 2).empty());
-
-  // A link holding bandwidth the model does not expect is a violation.
-  const auto leaky = [](LinkId link) {
-    return link.value() == 0 ? 8.0 : 9.0;
-  };
-  EXPECT_FALSE(f.auditor.audit_links(leaky, flows, 2).empty());
-
-  f.auditor.on_hop_released(7, LinkId{0});
-  f.auditor.on_hop_released(7, LinkId{1});
-  f.auditor.on_flow_released(8);
-  EXPECT_TRUE(f.auditor.model_empty());
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(BrokerSupervisor, BaselineOutageLosesEverything) {
 
 TEST(BrokerSupervisor, AdoptScheduleMirrorsFaultPlaneWindows) {
   Fixture f;
-  FaultPlane plane(&f.queue, 99);
+  FaultPlane plane(99);
   plane.crash_broker(f.cpu, 2.0, 4.0);
   plane.crash_broker(f.bw, 3.0, 6.0);
   // The plane only keeps the schedule...

@@ -14,129 +14,68 @@ RetryPolicy one_shot() {
 }
 
 TEST(FaultPlane, Contracts) {
-  EventQueue q;
-  EXPECT_THROW(FaultPlane(nullptr, 1), ContractViolation);
-  FaultPlane plane(&q, 1);
   FaultConfig bad;
   bad.drop_prob = 1.5;
-  EXPECT_THROW(plane.set_default_config(bad), ContractViolation);
-  bad = FaultConfig{};
-  bad.delay_max = -1.0;
-  EXPECT_THROW(plane.set_default_config(bad), ContractViolation);
+  EXPECT_THROW(FaultPlane(1, bad), ContractViolation);
+  FaultPlane plane(1);
   EXPECT_THROW(plane.crash_host(HostId{0}, 2.0, 2.0), ContractViolation);
-  EXPECT_THROW(plane.link_down(LinkId{0}, 3.0, 1.0), ContractViolation);
   EXPECT_THROW(plane.crash_host(HostId{}, 0.0, 1.0), ContractViolation);
   RetryPolicy malformed;
   malformed.max_attempts = 0;
   EXPECT_THROW(plane.set_rpc_policy(malformed), ContractViolation);
-  EXPECT_THROW(
-      plane.plan_message(std::nullopt, HostId{0}, HostId{1}, 0.0, -0.1,
-                         RetryPolicy{}),
-      ContractViolation);
+  EXPECT_THROW((void)plane.exchange(HostId{0}, HostId{1}, 0.0, &malformed),
+               ContractViolation);
 }
 
-TEST(FaultPlane, ZeroFaultDeliversAtExactNominalTime) {
-  EventQueue q;
-  FaultPlane plane(&q, 123);
-  const auto plan = plane.plan_message(std::nullopt, HostId{0}, HostId{1},
-                                       5.0, 0.25, RetryPolicy{});
-  EXPECT_TRUE(plan.delivered);
-  EXPECT_EQ(plan.at, 5.25);  // exactly now + latency, no perturbation
-  EXPECT_EQ(plan.attempts, 1);
-  EXPECT_FALSE(plan.duplicate);
+TEST(FaultPlane, ZeroFaultDeliversOnTheFirstAttempt) {
+  FaultPlane plane(123);
+  const ExchangeResult r =
+      plane.exchange(HostId{0}, HostId{1}, 5.0, nullptr);
+  EXPECT_EQ(r.status, ExchangeStatus::kOk);
+  EXPECT_EQ(r.transmissions, 1);
   EXPECT_EQ(plane.totals().messages, 1u);
   EXPECT_EQ(plane.totals().transmissions, 1u);
   EXPECT_EQ(plane.totals().drops, 0u);
 }
 
-TEST(FaultPlane, AllDropsExhaustRetriesWithExponentialBackoff) {
-  EventQueue q;
+TEST(FaultPlane, AllDropsExhaustTheRetryBudget) {
   FaultConfig config;
   config.drop_prob = 1.0;
-  FaultPlane plane(&q, 7, config);
-  const auto plan = plane.plan_message(std::nullopt, HostId{0}, HostId{1},
-                                       0.0, 0.25, RetryPolicy{});
-  EXPECT_FALSE(plan.delivered);
-  EXPECT_EQ(plan.failure, DeliveryFailure::kDropped);
-  EXPECT_EQ(plan.attempts, 4);
-  // Attempts at 0, 0.5, 1.5, 3.5; the last waits its (capped) timeout 4.
-  EXPECT_DOUBLE_EQ(plan.at, 7.5);
+  FaultPlane plane(7, config);
+  const ExchangeResult r =
+      plane.exchange(HostId{0}, HostId{1}, 0.0, nullptr);
+  // Random loss is a silent timeout after the default 4 attempts.
+  EXPECT_EQ(r.status, ExchangeStatus::kTimeout);
+  EXPECT_EQ(r.transmissions, 4);
   EXPECT_EQ(plane.totals().transmissions, 4u);
   EXPECT_EQ(plane.totals().drops, 4u);
   EXPECT_EQ(plane.totals().failed_messages, 1u);
 }
 
 TEST(FaultPlane, ScriptedCrashWindowIsHonoredPerAttempt) {
-  EventQueue q;
-  FaultPlane plane(&q, 7);
+  FaultPlane plane(7);
   plane.crash_host(HostId{1}, 1.0, 2.0);
   EXPECT_TRUE(plane.host_up(HostId{1}, 0.5));
   EXPECT_FALSE(plane.host_up(HostId{1}, 1.0));
   EXPECT_FALSE(plane.host_up(HostId{1}, 1.999));
   EXPECT_TRUE(plane.host_up(HostId{1}, 2.0));  // half-open window
-  const auto lost = plane.plan_message(std::nullopt, HostId{0}, HostId{1},
-                                       1.0, 0.1, one_shot());
-  EXPECT_FALSE(lost.delivered);
-  EXPECT_EQ(lost.failure, DeliveryFailure::kHostDown);
-  // A retrying message whose later attempt lands after the window gets
-  // through: attempts at 1.0 (down) and 1.5, 2.5 (up again at 2.0... the
-  // 1.5 attempt is still inside the window, the 2.5 one is not).
-  RetryPolicy retry;
-  retry.timeout = 0.5;
-  retry.backoff = 2.0;
-  const auto recovered = plane.plan_message(std::nullopt, HostId{0},
-                                            HostId{1}, 1.0, 0.1, retry);
-  EXPECT_TRUE(recovered.delivered);
-  EXPECT_EQ(recovered.attempts, 3);
-  EXPECT_DOUBLE_EQ(recovered.at, 2.6);  // 1.0 + 0.5 + 1.0 attempt + latency
-}
-
-TEST(FaultPlane, ScriptedLinkDownReportsLinkFailure) {
-  EventQueue q;
-  FaultPlane plane(&q, 7);
-  plane.link_down(LinkId{3}, 0.0, 10.0);
-  const auto plan = plane.plan_message(LinkId{3}, HostId{0}, HostId{1}, 1.0,
-                                       0.1, one_shot());
-  EXPECT_FALSE(plan.delivered);
-  EXPECT_EQ(plan.failure, DeliveryFailure::kLinkDown);
-  // Other links are unaffected.
-  const auto ok = plane.plan_message(LinkId{4}, HostId{0}, HostId{1}, 1.0,
-                                     0.1, one_shot());
-  EXPECT_TRUE(ok.delivered);
-}
-
-TEST(FaultPlane, PerLinkConfigOverridesDefault) {
-  EventQueue q;
-  FaultConfig lossy;
-  lossy.drop_prob = 1.0;
-  FaultPlane plane(&q, 7, lossy);
-  plane.set_link_config(LinkId{0}, FaultConfig{});  // clean link
-  EXPECT_TRUE(plane
-                  .plan_message(LinkId{0}, HostId{0}, HostId{1}, 0.0, 0.1,
-                                one_shot())
-                  .delivered);
-  EXPECT_FALSE(plane
-                   .plan_message(LinkId{1}, HostId{0}, HostId{1}, 0.0, 0.1,
-                                 one_shot())
-                   .delivered);
-}
-
-TEST(FaultPlane, DuplicateDeliversASecondLaterCopy) {
-  EventQueue q;
-  FaultConfig config;
-  config.duplicate_prob = 1.0;
-  FaultPlane plane(&q, 11, config);
-  const auto plan = plane.plan_message(std::nullopt, HostId{0}, HostId{1},
-                                       0.0, 0.5, one_shot());
-  ASSERT_TRUE(plan.delivered);
-  EXPECT_TRUE(plan.duplicate);
-  EXPECT_GE(plan.duplicate_at, plan.at);
-  EXPECT_EQ(plane.totals().duplicates, 1u);
+  // Every attempt of an exchange inside the window is lost to it, so
+  // the retries do not help and the failure is typed kPeerDown.
+  const RetryPolicy once = one_shot();
+  const ExchangeResult lost =
+      plane.exchange(HostId{0}, HostId{1}, 1.0, &once);
+  EXPECT_EQ(lost.status, ExchangeStatus::kPeerDown);
+  EXPECT_EQ(lost.transmissions, 1);
+  const ExchangeResult retried =
+      plane.exchange(HostId{0}, HostId{1}, 1.5, nullptr);
+  EXPECT_EQ(retried.status, ExchangeStatus::kPeerDown);
+  EXPECT_EQ(retried.transmissions, 4);
+  // At the window's end the host is back.
+  EXPECT_TRUE(plane.exchange(HostId{0}, HostId{1}, 2.0, nullptr).ok());
 }
 
 TEST(FaultPlane, TransportExchangeReflectsHostState) {
-  EventQueue q;
-  FaultPlane plane(&q, 5);
+  FaultPlane plane(5);
   plane.crash_host(HostId{2}, 0.0, 10.0);
   IControlTransport& transport = plane;
   const ExchangeResult ok =
@@ -153,6 +92,18 @@ TEST(FaultPlane, TransportExchangeReflectsHostState) {
   EXPECT_TRUE(transport.reachable(HostId{2}, 11.0));
   // The failed exchange burned the whole (default 4-attempt) RPC budget.
   EXPECT_GT(plane.totals().failed_messages, 0u);
+}
+
+TEST(RetryPolicy, ZeroRetryBudgetGivesUpAfterOneAttempt) {
+  FaultConfig always_drop;
+  always_drop.drop_prob = 1.0;
+  FaultPlane plane(7, always_drop);
+  const RetryPolicy once = one_shot();  // no retries at all
+  const ExchangeResult r = plane.exchange(HostId{0}, HostId{1}, 10.0, &once);
+  EXPECT_EQ(r.status, ExchangeStatus::kTimeout);
+  EXPECT_EQ(r.transmissions, 1);
+  EXPECT_EQ(plane.totals().transmissions, 1u);
+  EXPECT_EQ(plane.totals().failed_messages, 1u);
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ TEST(LeaseKeeper, RenewalsKeepLeasedHoldingsAlive) {
 
 TEST(LeaseKeeper, CrashedOwnerStopsRenewingAndHoldingsExpire) {
   Fixture f;
-  FaultPlane plane(&f.queue, 42);
+  FaultPlane plane(42);
   plane.crash_host(HostId{1}, 4.0, 100.0);
   f.keeper.attach_faults(&plane);
 

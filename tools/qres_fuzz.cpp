@@ -13,8 +13,8 @@
 // derives a random fault schedule and proves:
 //   * zero-fault runs are bit-identical to running without a FaultPlane
 //     (a coordinator on its loopback vs one attached to a BrokerService
-//     over an inert plane; RSVP with and without the plane),
-//   * the ReservationAuditor model matches broker/link state under faults,
+//     over an inert plane),
+//   * the ReservationAuditor model matches broker state under faults,
 //   * after teardown + lease expiry not one unit of capacity leaked.
 //
 // With --mode adapt (see tests/fuzz/adapt_fuzz.*) each iteration drives
@@ -240,16 +240,14 @@ int main(int argc, char** argv) {
   if (run_faults)
     std::printf(
         "qres_fuzz faults: %" PRIu64 " iteration(s), %" PRIu64
-        " failure(s); %" PRIu64 "/%" PRIu64 " flows, %" PRIu64 "/%" PRIu64
+        " failure(s); %" PRIu64 "/%" PRIu64
         " sessions established, %" PRIu64 " replans, %" PRIu64
         " leases expired, %" PRIu64 " leaked rollbacks, %" PRIu64
-        " msgs (%" PRIu64 " tx, %" PRIu64 " drops, %" PRIu64
-        " dups), %" PRIu64 " audits\n",
-        total, failures, fault_stats.flows_established, fault_stats.flows,
-        fault_stats.sessions_established, fault_stats.sessions,
-        fault_stats.replans, fault_stats.leases_expired,
-        fault_stats.leaked_rollbacks, fault_stats.messages,
-        fault_stats.transmissions, fault_stats.drops, fault_stats.duplicates,
+        " msgs (%" PRIu64 " tx, %" PRIu64 " drops), %" PRIu64 " audits\n",
+        total, failures, fault_stats.sessions_established,
+        fault_stats.sessions, fault_stats.replans,
+        fault_stats.leases_expired, fault_stats.leaked_rollbacks,
+        fault_stats.messages, fault_stats.transmissions, fault_stats.drops,
         fault_stats.audits);
   if (run_adapt)
     std::printf(
