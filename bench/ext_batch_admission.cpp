@@ -14,7 +14,8 @@
 // conflict replans (batch members whose pre-batch snapshot went stale
 // when an earlier member committed), largest batch, wall-clock
 // plans/sec. On a single-CPU host the worker sweep degenerates to
-// overhead measurement; the ctest smoke only proves the harness runs.
+// overhead measurement. Exits 1 when admitted or replans differ across
+// worker counts at one rate, so the ctest smoke enforces the contract.
 //
 // A second, fixed table measures what planning on a shared snapshot
 // costs at the paper's own rate (2 sessions/TU, the paper workload's
@@ -26,6 +27,7 @@
 // The sweep runs 5400 TU (1500 with --fast) whatever --run-length says.
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,8 +93,8 @@ Outcome run(double rate_multiplier, std::size_t workers, double run_length,
           tick, {coordinator, id, 1.0, nullptr},
           [&outcome, &events, coordinator, id, tick,
            holding](const EstablishResult& result) {
-            if (!result.success) return;
             outcome.replans += result.stats.replans;
+            if (!result.success) return;
             events.schedule(tick + holding,
                             [coordinator, id, holdings = result.holdings,
                              end = tick + holding] {
@@ -191,9 +193,14 @@ int main(int argc, char** argv) {
                "session rates\n";
   TablePrinter table({"rate x", "workers", "arrivals", "admitted",
                       "replans", "max batch", "plans/sec"});
+  bool deterministic = true;
   for (const double multiplier : multipliers) {
+    std::optional<Outcome> first;
     for (const std::size_t workers : worker_counts) {
       const Outcome o = run(multiplier, workers, run_length, seed);
+      if (!first) first = o;
+      deterministic = deterministic && o.admitted == first->admitted &&
+                      o.replans == first->replans;
       table.add_row(
           {TablePrinter::fmt(multiplier, 0),
            workers == 0 ? "inline" : std::to_string(workers),
@@ -226,5 +233,9 @@ int main(int argc, char** argv) {
   }
   races.print(std::cout);
   std::cout << "\n(run length: " << race_length << " TU)\n";
+  if (!deterministic) {
+    std::cerr << "admitted/replans differ across worker counts\n";
+    return 1;
+  }
   return 0;
 }

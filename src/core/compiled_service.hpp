@@ -80,8 +80,8 @@ struct EdgeWeight {
 /// availability, in entry order: infeasible at the first resource that
 /// does not fit (or has no availability at all), missing at the first
 /// resource the snapshot lacks, otherwise ψ is the largest contention
-/// index and the bottleneck the first resource attaining it. The one
-/// weighting routine behind Qrg and the distributed forward pass.
+/// index and the bottleneck the first resource attaining it. Qrg's
+/// per-edge weighting routine.
 inline EdgeWeight weigh_requirement(std::span<const std::uint32_t> slots_of,
                                     const double* amounts, double scale,
                                     const SlotObservation* slots,

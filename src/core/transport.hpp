@@ -1,8 +1,8 @@
 // Control-plane transport abstraction.
 //
-// The coordination protocols (SessionCoordinator's report/dispatch rounds,
-// DistributedSession's forward/backward/reserve passes) exchange RPC-style
-// messages between proxy hosts. In the perfect-control-plane model those
+// The coordination protocol (SessionCoordinator's report/dispatch rounds)
+// and the FailoverCoordinator's heartbeats exchange RPC-style messages
+// between proxy hosts. In the perfect-control-plane model those
 // exchanges are implicit; under fault injection they cross a FaultPlane.
 // This interface is what the proxy layer sees: qres_proxy cannot depend on
 // qres_sim (the dependency runs the other way), so the FaultPlane

@@ -233,8 +233,8 @@ void FailoverWorld::apply(const FailoverAction& action) {
       // coordinator's promote_refused.
       // qres-lint: allow(unchecked-status): the model deliberately explores
       // refused promotions too; the checker's invariants judge the outcome
-      group_->promote(replica_host(action.replica), group_->next_epoch(),
-                      now_);
+      (void)group_->promote(replica_host(action.replica),
+                            group_->next_epoch(), now_);
       break;
     case FailoverActionKind::kPartition:
       --partitions_left_;
@@ -247,7 +247,7 @@ void FailoverWorld::apply(const FailoverAction& action) {
       // Anti-entropy on reconnect: the primary re-ships its pending tail.
       // qres-lint: allow(unchecked-status): convergence is asserted by
       // check_invariants below, not by this ship's aggregate verdict
-      if (group_->up()) group_->flush(now_);
+      if (group_->up()) (void)group_->flush(now_);
       break;
   }
   now_ += 1.0;

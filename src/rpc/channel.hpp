@@ -27,9 +27,9 @@
 //     breaker trips and state (dumped by `qresctl rpc`).
 //
 // Two call styles: ping() is the payload-less liveness probe (no server)
-// used by DistributedSession's passes and the FailoverCoordinator's
-// heartbeats; call() is the typed path — encode, frame faults, server,
-// strict decode — that carries every SessionCoordinator round.
+// used by the FailoverCoordinator's heartbeats; call() is the typed path
+// — encode, frame faults, server, strict decode — that carries every
+// SessionCoordinator round.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,9 @@
 // Deterministic fault-injection plane for the simulated control plane.
 //
-// The coordination protocols' RPC rounds — the SessionCoordinator
-// report/dispatch rounds and the DistributedSession forward/backward/
-// reserve passes (src/proxy/*) — and the typed RPC frames they carry can
-// be routed through a FaultPlane, which decides each transmission's fate
-// from a seeded RNG plus scripted outage windows:
+// The coordination protocol's RPC rounds — the SessionCoordinator
+// report/dispatch rounds (src/proxy/*) — and the typed RPC frames they
+// carry can be routed through a FaultPlane, which decides each
+// transmission's fate from a seeded RNG plus scripted outage windows:
 //
 //   * random message loss: each transmission attempt is dropped with
 //     probability FaultConfig::drop_prob;

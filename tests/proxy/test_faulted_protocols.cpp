@@ -8,7 +8,6 @@
 #include <set>
 
 #include "../test_helpers.hpp"
-#include "proxy/distributed.hpp"
 #include "proxy/qos_proxy.hpp"
 
 namespace qres {
@@ -203,84 +202,6 @@ TEST(FaultedCoordinator, UnreachableRollbackLeaksUntilTheLeaseExpires) {
   registry.broker(cpu1).take_expired(&reclaimed);
   ASSERT_EQ(reclaimed.size(), 1u);
   EXPECT_EQ(reclaimed.front(), session);
-}
-
-TEST(FaultedDistributedSession, UnreachableNeighborKillsTheForwardPass) {
-  BrokerRegistry registry;
-  const ResourceId cpu1 =
-      registry.add_resource("cpu1", ResourceKind::kCpu, HostId{1}, 100.0);
-  const ResourceId cpu2 =
-      registry.add_resource("cpu2", ResourceKind::kCpu, HostId{2}, 100.0);
-  TranslationTable t0, t1;
-  t0.set(0, 0, rv({{cpu1, 20.0}}));
-  t1.set(0, 0, rv({{cpu2, 30.0}}));
-  ServiceDefinition service = test::make_chain({{1, t0}, {1, t1}});
-  service.component(0).set_host(HostId{1});
-  service.component(1).set_host(HostId{2});
-  DistributedSession session(&service, {{cpu1}, {cpu2}}, &registry);
-  ScriptedTransport transport;
-  session.attach_faults(&transport);
-
-  // Perfect transport first: the protocol runs and reserves both segments.
-  EstablishResult ok = session.establish(SessionId{1}, 1.0);
-  ASSERT_TRUE(ok.success);
-  EXPECT_EQ(ok.stats.unreachable_proxies, 0u);
-  session.teardown(ok.holdings, SessionId{1}, 2.0);
-
-  // Now the downstream proxy is dead: the forward hop cannot be carried.
-  transport.down.insert(2);
-  const EstablishResult result = session.establish(SessionId{2}, 3.0);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.outcome, EstablishOutcome::kUnreachable);
-  EXPECT_EQ(result.failed_resource, cpu2);
-  EXPECT_TRUE(result.holdings.empty());
-  EXPECT_EQ(registry.broker(cpu1).available(), 100.0);
-  EXPECT_EQ(registry.broker(cpu2).available(), 100.0);
-}
-
-TEST(FaultedDistributedSession, UnreachableRollbackLeaksLeasedSegment) {
-  // Three proxies on three hosts. The reserve pass (driven by the sink on
-  // host 3) commits host 1's segment, then host 2 becomes unreachable —
-  // and so does host 1 by rollback time. Host 1's committed segment
-  // leaks, leased, until the broker reclaims it.
-  BrokerRegistry registry;
-  const ResourceId cpu1 =
-      registry.add_resource("cpu1", ResourceKind::kCpu, HostId{1}, 100.0);
-  const ResourceId cpu2 =
-      registry.add_resource("cpu2", ResourceKind::kCpu, HostId{2}, 100.0);
-  const ResourceId cpu3 =
-      registry.add_resource("cpu3", ResourceKind::kCpu, HostId{3}, 100.0);
-  TranslationTable t0, t1, t2;
-  t0.set(0, 0, rv({{cpu1, 20.0}}));
-  t1.set(0, 0, rv({{cpu2, 30.0}}));
-  t2.set(0, 0, rv({{cpu3, 10.0}}));
-  ServiceDefinition service = test::make_chain({{1, t0}, {1, t1}, {1, t2}});
-  service.component(0).set_host(HostId{1});
-  service.component(1).set_host(HostId{2});
-  service.component(2).set_host(HostId{3});
-  DistributedSession session(&service, {{cpu1}, {cpu2}, {cpu3}}, &registry);
-  ScriptedTransport transport;
-  session.attach_faults(&transport);
-  session.enable_leases(4.0);
-
-  // Forward hops (calls 1, 2) and backward hops (calls 3, 4) go through.
-  // Reserve pass: commit to host 1 is call 5 (allowed, reserves cpu1);
-  // commit to host 2 is call 6 (denied -> kUnreachable); the rollback
-  // release to host 1 is call 7 (denied -> the segment leaks).
-  transport.deny = [&transport](HostId, HostId) {
-    return transport.calls >= 6;
-  };
-
-  const SessionId s{1};
-  const EstablishResult result = session.establish(s, 1.0);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.outcome, EstablishOutcome::kUnreachable);
-  ASSERT_EQ(result.leaked.size(), 1u);
-  EXPECT_EQ(result.leaked.front().first, cpu1);
-  EXPECT_EQ(registry.broker(cpu1).held_by(s), 20.0);
-  EXPECT_EQ(registry.broker(cpu1).expire_due(1.0 + 4.0 + 0.1, nullptr),
-            20.0);
-  EXPECT_EQ(registry.broker(cpu1).available(), 100.0);
 }
 
 }  // namespace
